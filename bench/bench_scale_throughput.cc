@@ -28,10 +28,17 @@
  *   bench_scale_throughput --mega-smoke         # 1M-server smoke
  *   bench_scale_throughput --threads 4 --scenario "grid-dr(hold_s=120)"
  *
- * --check is the CI perf smoke: it compares measured events/sec
- * against the committed baseline and exits non-zero on a >3x
- * regression (generous enough to absorb shared-runner noise, tight
- * enough to catch an accidental O(n log n) -> O(n^2) slip).
+ * --check is the CI perf smoke: it runs each size three times,
+ * interleaved, and compares the best sim-time / wall-time ratio
+ * against the committed baseline's `realtime_ratio`, exiting non-zero
+ * on a >3x regression (generous enough to absorb shared-runner noise,
+ * tight enough to catch an accidental O(n log n) -> O(n^2) slip). It
+ * gates on simulated time per wall second, not events/sec: events/sec
+ * counts kernel work, so a change that removes events while the run
+ * gets faster would read as a regression.
+ *
+ * Both JSON outputs carry a "host" stamp (core count, CPU model,
+ * build type) so a baseline says where it was measured.
  *
  * --threads N runs the sharded parallel engine (fleet/sharding.h)
  * instead of the single-kernel fleet: one shard per SB subtree on an
@@ -583,6 +590,43 @@ RunMegaSmoke()
     return 0;
 }
 
+/** CPU model from /proc/cpuinfo ("unknown" where unavailable). */
+std::string
+CpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0) continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos) break;
+        std::string model = line.substr(colon + 1);
+        model.erase(0, model.find_first_not_of(" \t"));
+        // Keep the JSON well-formed whatever the vendor string holds.
+        model.erase(std::remove_if(model.begin(), model.end(),
+                                   [](char c) { return c == '"' || c == '\\'; }),
+                    model.end());
+        return model;
+    }
+    return "unknown";
+}
+
+/** The `"host"` stamp line both BENCH files carry. */
+std::string
+HostJson()
+{
+#ifdef DYNAMO_BUILD_TYPE
+    const char* build_type = DYNAMO_BUILD_TYPE;
+#else
+    const char* build_type = "unknown";
+#endif
+    std::ostringstream out;
+    out << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+        << ", \"cpu\": \"" << CpuModel() << "\", \"build_type\": \""
+        << (build_type[0] != '\0' ? build_type : "unknown") << "\"},\n";
+    return out.str();
+}
+
 std::string
 ParallelToJson(const std::vector<ParallelResult>& results)
 {
@@ -594,6 +638,7 @@ ParallelToJson(const std::vector<ParallelResult>& results)
 #else
     out << "  \"build\": \"debug\",\n";
 #endif
+    out << HostJson();
     out << "  \"window_ms\": " << fleet::kShardWindowMs << ",\n";
     out << "  \"host_cores\": " << std::thread::hardware_concurrency()
         << ",\n";
@@ -666,6 +711,7 @@ ToJson(const std::vector<SuiteResult>& results)
 #else
     out << "  \"build\": \"debug\",\n";
 #endif
+    out << HostJson();
     out << "  \"cycle_cost_note\": \"leaf/upper cycle cost is the wall time "
            "of one RunCycle pull fan-out dispatch\",\n";
     out << "  \"suites\": [\n";
@@ -699,17 +745,18 @@ ToJson(const std::vector<SuiteResult>& results)
 }
 
 /**
- * Pull one suite's events/sec out of a baseline BENCH_SCALE.json.
+ * Pull one suite's `field` out of a baseline BENCH_SCALE.json.
  * Hand-rolled scan (no JSON dependency): finds the `"servers": N`
- * entry, then the following `"events_per_sec"` value.
+ * entry, then the following `"<field>"` value.
  */
 bool
-BaselineThroughput(const std::string& json, std::size_t servers, double* out)
+BaselineField(const std::string& json, std::size_t servers,
+              const std::string& field, double* out)
 {
     const std::string anchor = "\"servers\": " + std::to_string(servers);
     const std::size_t at = json.find(anchor);
     if (at == std::string::npos) return false;
-    const std::string key = "\"events_per_sec\": ";
+    const std::string key = "\"" + field + "\": ";
     const std::size_t kat = json.find(key, at);
     if (kat == std::string::npos) return false;
     *out = std::strtod(json.c_str() + kat + key.size(), nullptr);
@@ -1013,14 +1060,28 @@ main(int argc, char** argv)
         return ok ? 0 : 1;
     }
 
-    std::vector<SuiteResult> results;
-    for (const std::size_t n : sizes) {
-        std::printf("running %zu-server suite (%lld sim-seconds)%s...\n", n,
-                    static_cast<long long>(measure_ms / 1000),
-                    with_metrics ? " with metrics" : "");
-        std::fflush(stdout);
-        results.push_back(RunSuite(n, measure_ms, with_metrics));
-        const SuiteResult& r = results.back();
+    // The perf smoke keeps each size's best of three interleaved runs,
+    // as the overhead gate does, so one descheduled run cannot fail it.
+    const int reps = check_path.empty() ? 1 : 3;
+    std::vector<SuiteResult> results(sizes.size());
+    for (int rep = 0; rep < reps; ++rep) {
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+            const std::size_t n = sizes[k];
+            const std::string rep_note =
+                reps > 1 ? ", rep " + std::to_string(rep + 1) + "/" +
+                               std::to_string(reps)
+                         : "";
+            std::printf("running %zu-server suite (%lld sim-seconds)%s%s...\n",
+                        n, static_cast<long long>(measure_ms / 1000),
+                        with_metrics ? " with metrics" : "", rep_note.c_str());
+            std::fflush(stdout);
+            SuiteResult run = RunSuite(n, measure_ms, with_metrics);
+            if (rep == 0 || run.realtime_ratio > results[k].realtime_ratio) {
+                results[k] = std::move(run);
+            }
+        }
+    }
+    for (const SuiteResult& r : results) {
         std::printf(
             "  %zu servers: %.2fM events/s, %.0fx real-time, "
             "leaf cycle p50/p99 %.0f/%.0f us, upper %.0f/%.0f us\n",
@@ -1057,23 +1118,23 @@ main(int argc, char** argv)
         bool ok = true;
         for (const SuiteResult& r : results) {
             double want = 0.0;
-            if (!BaselineThroughput(baseline, r.servers, &want)) {
+            if (!BaselineField(baseline, r.servers, "realtime_ratio", &want)) {
                 std::fprintf(stderr,
                              "baseline has no %zu-server suite; skipping\n",
                              r.servers);
                 continue;
             }
             const double floor = want / 3.0;
-            if (r.events_per_sec < floor) {
+            if (r.realtime_ratio < floor) {
                 std::fprintf(stderr,
-                             "PERF REGRESSION: %zu servers ran at %.0f "
-                             "events/s, baseline %.0f (floor %.0f)\n",
-                             r.servers, r.events_per_sec, want, floor);
+                             "PERF REGRESSION: %zu servers ran at %.1fx real "
+                             "time, baseline %.1fx (floor %.1fx)\n",
+                             r.servers, r.realtime_ratio, want, floor);
                 ok = false;
             } else {
-                std::printf("perf check ok: %zu servers at %.0f events/s "
-                            "(baseline %.0f, floor %.0f)\n",
-                            r.servers, r.events_per_sec, want, floor);
+                std::printf("perf check ok: %zu servers at %.1fx real time "
+                            "(baseline %.1fx, floor %.1fx)\n",
+                            r.servers, r.realtime_ratio, want, floor);
             }
         }
         if (!ok) return 1;

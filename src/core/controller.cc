@@ -1,6 +1,7 @@
 #include "core/controller.h"
 
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -58,6 +59,7 @@ Controller::Controller(sim::Simulation& sim, rpc::Transport& transport,
 Controller::~Controller()
 {
     Deactivate();
+    *alive_ = false;
 }
 
 void
@@ -135,14 +137,50 @@ Controller::HandleExtra(const rpc::Payload&)
 }
 
 void
-Controller::PullWithRetry(rpc::EndpointId endpoint, rpc::Payload request,
-                          rpc::ResponseCallback on_ok, rpc::ErrorCallback on_err)
+Controller::PullFanOut(std::vector<rpc::EndpointId> targets,
+                       rpc::Payload request, rpc::FanOutOkCallback on_ok,
+                       rpc::FanOutErrCallback on_err)
 {
+    // Shared by the fan-out's continuations and any per-item retry
+    // chains spawned from them.
+    struct Pull
+    {
+        std::shared_ptr<const bool> alive;
+        std::vector<rpc::EndpointId> targets;
+        rpc::Payload request;
+        rpc::FanOutOkCallback on_ok;
+        rpc::FanOutErrCallback on_err;
+
+        void Ok(std::size_t i, const rpc::Payload& response) const
+        {
+            if (*alive) on_ok(i, response);
+        }
+    };
+    auto pull = std::make_shared<Pull>(Pull{alive_, std::move(targets),
+                                            std::move(request),
+                                            std::move(on_ok),
+                                            std::move(on_err)});
     const int attempts = 1 + config_.pull_retries;
     const SimTime per_attempt =
         std::max<SimTime>(1, config_.rpc_timeout / attempts);
-    PullAttempt(endpoint, std::move(request), std::move(on_ok),
-                std::move(on_err), 0, per_attempt, cycle_id_);
+    const std::uint64_t cycle = cycle_id_;
+    transport_.CallFanOut(
+        pull->targets, pull->request,
+        [pull](std::size_t i, const rpc::Payload& response) {
+            pull->Ok(i, response);
+        },
+        [this, pull, per_attempt, cycle](std::size_t i,
+                                         const std::string& reason) {
+            if (!*pull->alive) return;
+            OnPullFailed(
+                pull->targets[i], pull->request,
+                [pull, i](const rpc::Payload& response) {
+                    pull->Ok(i, response);
+                },
+                [pull, i](const std::string& why) { pull->on_err(i, why); },
+                0, per_attempt, cycle, reason);
+        },
+        per_attempt);
 }
 
 void
@@ -153,27 +191,40 @@ Controller::PullAttempt(rpc::EndpointId endpoint, rpc::Payload request,
 {
     transport_.Call(
         endpoint, request, on_ok,
-        [this, endpoint, request, on_ok, on_err, attempt, per_attempt_timeout,
-         cycle](const std::string& reason) {
-            if (cycle != cycle_id_) return;  // cycle moved on; abandon
-            if (attempt >= config_.pull_retries) {
-                on_err(reason);
-                return;
-            }
-            ++retries_issued_;
-            SimTime backoff = config_.retry_backoff << attempt;
-            if (config_.retry_jitter > 0) {
-                backoff += static_cast<SimTime>(retry_rng_.UniformInt(
-                    static_cast<std::uint64_t>(config_.retry_jitter) + 1));
-            }
-            sim_.ScheduleAfter(backoff, [this, endpoint, request, on_ok, on_err,
-                                         attempt, per_attempt_timeout, cycle]() {
-                if (cycle != cycle_id_) return;
-                PullAttempt(endpoint, request, on_ok, on_err, attempt + 1,
-                            per_attempt_timeout, cycle);
-            });
+        [this, alive = alive_, endpoint, request, on_ok, on_err, attempt,
+         per_attempt_timeout, cycle](const std::string& reason) {
+            if (!*alive) return;
+            OnPullFailed(endpoint, request, on_ok, on_err, attempt,
+                         per_attempt_timeout, cycle, reason);
         },
         per_attempt_timeout);
+}
+
+void
+Controller::OnPullFailed(rpc::EndpointId endpoint, const rpc::Payload& request,
+                         const rpc::ResponseCallback& on_ok,
+                         const rpc::ErrorCallback& on_err, int attempt,
+                         SimTime per_attempt_timeout, std::uint64_t cycle,
+                         const std::string& reason)
+{
+    if (cycle != cycle_id_) return;  // cycle moved on; abandon
+    if (attempt >= config_.pull_retries) {
+        on_err(reason);
+        return;
+    }
+    ++retries_issued_;
+    SimTime backoff = config_.retry_backoff << attempt;
+    if (config_.retry_jitter > 0) {
+        backoff += static_cast<SimTime>(retry_rng_.UniformInt(
+            static_cast<std::uint64_t>(config_.retry_jitter) + 1));
+    }
+    sim_.ScheduleAfter(backoff, [this, alive = alive_, endpoint, request,
+                                 on_ok, on_err, attempt, per_attempt_timeout,
+                                 cycle]() {
+        if (!*alive || cycle != cycle_id_) return;
+        PullAttempt(endpoint, request, on_ok, on_err, attempt + 1,
+                    per_attempt_timeout, cycle);
+    });
 }
 
 void

@@ -18,8 +18,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/archive.h"
 #include "common/rng.h"
@@ -396,14 +398,17 @@ class Controller
     virtual rpc::Payload HandleExtra(const rpc::Payload& request);
 
     /**
-     * Issue one pull with bounded retry: the rpc_timeout budget is
-     * split evenly across 1 + pull_retries attempts; failed attempts
-     * are retried after exponential backoff with jitter. Exactly one
-     * of `on_ok` / `on_err` fires unless the cycle advances first, in
-     * which case the chain is abandoned (the next cycle re-pulls).
+     * Pull every endpoint in `targets` as ONE transport fan-out, with
+     * bounded retry: the rpc_timeout budget is split evenly across
+     * 1 + pull_retries attempts, and an item whose attempt fails falls
+     * through to its own per-item retry chain (exponential backoff
+     * with jitter drawn from retry_rng_). Exactly one of
+     * `on_ok(i, …)` / `on_err(i, …)` fires per item unless the cycle
+     * advances first, in which case the item's chain is abandoned (the
+     * next cycle re-pulls).
      */
-    void PullWithRetry(rpc::EndpointId endpoint, rpc::Payload request,
-                       rpc::ResponseCallback on_ok, rpc::ErrorCallback on_err);
+    void PullFanOut(std::vector<rpc::EndpointId> targets, rpc::Payload request,
+                    rpc::FanOutOkCallback on_ok, rpc::FanOutErrCallback on_err);
 
     /**
      * Advance the health state machine after one aggregation attempt
@@ -465,11 +470,31 @@ class Controller
     /** Incremented per cycle; stale async responses are discarded. */
     std::uint64_t cycle_id_ = 0;
 
+    /**
+     * Cleared by the destructor. Pending kernel events and transport
+     * continuations hold a copy and check it before touching `this`:
+     * a controller can be destroyed mid-cycle (a promotion replacing
+     * it) while its pulls and aggregation timer are still in flight.
+     */
+    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+
   private:
+    /** One per-item retry attempt (attempt >= 1) of a failed pull. */
     void PullAttempt(rpc::EndpointId endpoint, rpc::Payload request,
                      rpc::ResponseCallback on_ok, rpc::ErrorCallback on_err,
                      int attempt, SimTime per_attempt_timeout,
                      std::uint64_t cycle);
+
+    /**
+     * Pull attempt `attempt` failed with `reason`: abandon it if the
+     * cycle moved on, give up after the last attempt, else schedule
+     * the next attempt after backoff.
+     */
+    void OnPullFailed(rpc::EndpointId endpoint, const rpc::Payload& request,
+                      const rpc::ResponseCallback& on_ok,
+                      const rpc::ErrorCallback& on_err, int attempt,
+                      SimTime per_attempt_timeout, std::uint64_t cycle,
+                      const std::string& reason);
 
     rpc::Payload Handle(const rpc::Payload& request);
 

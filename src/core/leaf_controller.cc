@@ -49,24 +49,28 @@ void
 LeafController::RunCycle()
 {
     const std::uint64_t id = ++cycle_id_;
-    for (AgentState& a : agents_) a.current.reset();
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-        PullWithRetry(
-            agents_[i].id, api::PowerReadRequest{},
-            [this, i, id](const rpc::Payload& resp) {
-                if (id != cycle_id_) return;  // stale cycle
-                const auto* r = std::any_cast<api::PowerReadResult>(&resp);
-                if (r != nullptr && r->status.ok()) {
-                    agents_[i].current = *r;
-                }
-            },
-            [](const std::string&) {
-                // Failure is implicit: `current` stays empty and
-                // Aggregate substitutes an estimate.
-            });
+    std::vector<rpc::EndpointId> targets;
+    targets.reserve(agents_.size());
+    for (AgentState& a : agents_) {
+        a.current.reset();
+        targets.push_back(a.id);
     }
-    sim_.ScheduleAfter(config_.response_wait, [this, id]() {
-        if (id != cycle_id_) return;
+    PullFanOut(
+        std::move(targets), api::PowerReadRequest{},
+        [this, id](std::size_t i, const rpc::Payload& resp) {
+            if (id != cycle_id_) return;  // stale cycle
+            const auto* r = std::any_cast<api::PowerReadResult>(&resp);
+            if (r != nullptr && r->status.ok()) {
+                agents_[i].current =
+                    Reading{r->power, r->estimated, r->capped, r->power_limit};
+            }
+        },
+        [](std::size_t, const std::string&) {
+            // Failure is implicit: `current` stays empty and
+            // Aggregate substitutes an estimate.
+        });
+    sim_.ScheduleAfter(config_.response_wait, [this, id, alive = alive_]() {
+        if (!*alive || id != cycle_id_) return;
         Aggregate();
     });
 }

@@ -70,24 +70,35 @@ void
 UpperController::RunCycle()
 {
     const std::uint64_t id = ++cycle_id_;
-    for (ChildState& c : children_) c.current.reset();
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-        PullWithRetry(
-            children_[i].id, api::PowerReadRequest{},
-            [this, i, id](const rpc::Payload& resp) {
-                if (id != cycle_id_) return;
-                if (const auto* r =
-                        std::any_cast<api::PowerReadResult>(&resp)) {
-                    children_[i].current = *r;
-                }
-            },
-            [](const std::string&) {
-                // Failure is implicit: `current` stays empty and
-                // Aggregate falls back to the child's cached reading.
-            });
+    std::vector<rpc::EndpointId> targets;
+    targets.reserve(children_.size());
+    for (ChildState& c : children_) {
+        c.current.reset();
+        targets.push_back(c.id);
     }
-    sim_.ScheduleAfter(config_.response_wait, [this, id]() {
-        if (id != cycle_id_) return;
+    // A reconfiguration may remove a child while its pull is in
+    // flight, shifting the roster under the item indices: route each
+    // response by endpoint, not by position alone.
+    PullFanOut(
+        targets, api::PowerReadRequest{},
+        [this, id, targets](std::size_t i, const rpc::Payload& resp) {
+            if (id != cycle_id_) return;
+            const auto* r = std::any_cast<api::PowerReadResult>(&resp);
+            if (r == nullptr) return;
+            if (i < children_.size() && children_[i].id == targets[i]) {
+                children_[i].current = *r;
+                return;
+            }
+            for (ChildState& c : children_) {
+                if (c.id == targets[i]) c.current = *r;
+            }
+        },
+        [](std::size_t, const std::string&) {
+            // Failure is implicit: `current` stays empty and
+            // Aggregate falls back to the child's cached reading.
+        });
+    sim_.ScheduleAfter(config_.response_wait, [this, id, alive = alive_]() {
+        if (!*alive || id != cycle_id_) return;
         Aggregate();
     });
 }

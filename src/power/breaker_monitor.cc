@@ -17,9 +17,11 @@ BreakerMonitor::Tick()
     last_tick_ = now;
     if (dt <= 0) return;
 
-    // Integrate bottom-up so a child's trip this tick zeroes its
-    // contribution to ancestors on the next tick (physical breakers do
-    // not all react in the same instant either).
+    // Integrate top-down: ForEach visits each parent before its
+    // children, so a child that trips this tick was already counted in
+    // its ancestors' draw and its trip zeroes that contribution from
+    // the next tick on (physical breakers do not all react in the same
+    // instant either).
     root_.ForEach([&](PowerDevice& device) {
         if (device.breaker().tripped()) return;
         const Watts draw = device.TotalPower(now);

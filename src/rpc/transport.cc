@@ -85,6 +85,22 @@ Transport::Call(const std::string& endpoint, Payload request,
 }
 
 void
+Transport::CallFanOut(const std::vector<EndpointId>& targets,
+                      const Payload& request, FanOutOkCallback on_ok,
+                      FanOutErrCallback on_err, SimTime timeout_ms)
+{
+    auto ok = std::make_shared<FanOutOkCallback>(std::move(on_ok));
+    auto err = std::make_shared<FanOutErrCallback>(std::move(on_err));
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+        Call(
+            targets[i], request,
+            [ok, i](const Payload& response) { (*ok)(i, response); },
+            [err, i](const std::string& reason) { (*err)(i, reason); },
+            timeout_ms);
+    }
+}
+
+void
 Transport::AttachMetrics(telemetry::MetricsRegistry* registry)
 {
     if (registry == nullptr) {
@@ -371,6 +387,236 @@ SimTransport::Call(EndpointId id, Payload request, ResponseCallback on_ok,
                                    on_ok(response);
                                });
         });
+}
+
+// ---------------------------------------------------------------------------
+// SimTransport fan-out
+// ---------------------------------------------------------------------------
+
+namespace {
+
+const std::string kTimeoutReason = "timeout";
+const std::string kConnectionFailedReason = "connection failed";
+
+}  // namespace
+
+/** In-flight state of one CallFanOut, shared by its kernel events. */
+struct SimTransport::FanOut
+{
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+
+    enum Flag : std::uint8_t {
+        kTimed = 1,   ///< On the deadline path (live or blackholed).
+        kFailed = 2,  ///< Prompt "connection failed" at delivery.
+        kDone = 4,    ///< Its one continuation has fired.
+    };
+
+    struct Item
+    {
+        EndpointId target = kInvalidEndpoint;
+        std::uint8_t flags = 0;
+
+        /** Next item in the same delivery / completion slot. */
+        std::uint32_t next_delivery = kNone;
+        std::uint32_t next_completion = kNone;
+
+        /** Handler response, held until its completion slot fires. */
+        Payload response;
+    };
+
+    /** The items landing on one ms, as an intrusive FIFO list. */
+    struct Slot
+    {
+        SimTime at = 0;
+        std::uint32_t head = kNone;
+        std::uint32_t tail = kNone;
+    };
+
+    Payload request;
+    FanOutOkCallback on_ok;
+    FanOutErrCallback on_err;
+
+    /** Delivery slot that also carries the deadline (kNone: own event). */
+    std::uint32_t deadline_slot = kNone;
+
+    std::vector<Item> items;
+    std::vector<Slot> deliveries;
+    std::vector<Slot> completions;
+
+    /**
+     * Append item `i` to the slot for `at` (through `link`), creating
+     * the slot when it is new. Returns the slot index; `*created` says
+     * whether the caller must schedule it. Latency ranges are a few ms
+     * wide, so the linear scan stays over a handful of slots.
+     */
+    std::uint32_t Link(std::vector<Slot>& slots, SimTime at, std::uint32_t i,
+                       std::uint32_t Item::*link, bool* created)
+    {
+        std::uint32_t s = 0;
+        while (s < slots.size() && slots[s].at != at) ++s;
+        *created = s == slots.size();
+        if (*created) slots.push_back(Slot{at, i, i});
+        else {
+            items[slots[s].tail].*link = i;
+            slots[s].tail = i;
+        }
+        return s;
+    }
+};
+
+void
+SimTransport::CallFanOut(const std::vector<EndpointId>& targets,
+                         const Payload& request, FanOutOkCallback on_ok,
+                         FanOutErrCallback on_err, SimTime timeout_ms)
+{
+    if (targets.empty()) return;
+    const std::size_t n = targets.size();
+    CountIssued(n);
+
+    auto fan = std::make_shared<FanOut>();
+    fan->request = request;
+    fan->on_ok = std::move(on_ok);
+    fan->on_err = std::move(on_err);
+    fan->items.resize(n);
+
+    // Issue in item order exactly as n back-to-back Calls would: fate,
+    // observer, then the request latency draw for non-blackholed items.
+    const SimTime now = sim_.Now();
+    bool any_timed = false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        FanOut::Item& item = fan->items[i];
+        item.target = targets[i];
+        const CallFate fate = failures_.Decide(item.target);
+        if (call_observer_) call_observer_(item.target, fate, now);
+        if (fate == CallFate::kBlackhole) {
+            item.flags = FanOut::kTimed;
+            any_timed = true;
+            continue;
+        }
+        SimTime latency = options_.request_latency.Sample(rng_);
+        if (fate == CallFate::kFail || !IsRegistered(item.target)) {
+            item.flags = FanOut::kFailed;
+        } else {
+            item.flags = FanOut::kTimed;
+            any_timed = true;
+            latency += failures_.ExtraLatency(item.target);
+        }
+        bool created = false;
+        fan->Link(fan->deliveries, now + latency, i,
+                  &FanOut::Item::next_delivery, &created);
+    }
+
+    // Per-item Call arms each timeout just before its own delivery, so
+    // at a ms holding both the two interleave in item order: fold the
+    // deadline into that delivery slot rather than giving it an event.
+    // Every event of this fan-out is scheduled now, in one contiguous
+    // block, so no foreign event can slip between its same-ms events.
+    if (any_timed) {
+        for (std::uint32_t s = 0; s < fan->deliveries.size(); ++s) {
+            if (fan->deliveries[s].at == now + timeout_ms) {
+                fan->deadline_slot = s;
+            }
+        }
+        if (fan->deadline_slot == FanOut::kNone) {
+            sim_.ScheduleAfter(timeout_ms,
+                               [this, fan]() { RunFanOutTimeout(*fan); });
+        }
+    }
+    for (std::uint32_t s = 0; s < fan->deliveries.size(); ++s) {
+        sim_.ScheduleAfter(fan->deliveries[s].at - now,
+                           [this, fan, s]() { RunFanOutDelivery(fan, s); });
+    }
+}
+
+void
+SimTransport::RunFanOutTimeout(FanOut& fan)
+{
+    for (std::uint32_t i = 0; i < fan.items.size(); ++i) {
+        ExpireFanOutItem(fan, i);
+    }
+}
+
+void
+SimTransport::ExpireFanOutItem(FanOut& fan, std::uint32_t i)
+{
+    FanOut::Item& item = fan.items[i];
+    if ((item.flags & FanOut::kTimed) == 0 ||
+        (item.flags & FanOut::kDone) != 0) {
+        return;
+    }
+    item.flags |= FanOut::kDone;
+    CountTimeout();
+    fan.on_err(i, kTimeoutReason);
+}
+
+void
+SimTransport::RunFanOutDelivery(const std::shared_ptr<FanOut>& fan,
+                                std::size_t slot)
+{
+    FanOut& f = *fan;
+    std::uint32_t next = f.deliveries[slot].head;
+    if (slot != f.deadline_slot) {
+        while (next != FanOut::kNone) {
+            const std::uint32_t i = next;
+            next = f.items[i].next_delivery;
+            DeliverFanOutItem(fan, i);
+        }
+        return;
+    }
+    // The deadline shares this ms: each item's timeout precedes its
+    // own delivery, in item order, as per-item Calls would run them.
+    for (std::uint32_t i = 0; i < f.items.size(); ++i) {
+        ExpireFanOutItem(f, i);
+        if (i != next) continue;
+        next = f.items[i].next_delivery;
+        DeliverFanOutItem(fan, i);
+    }
+}
+
+void
+SimTransport::DeliverFanOutItem(const std::shared_ptr<FanOut>& fan,
+                                std::uint32_t i)
+{
+    FanOut& f = *fan;
+    FanOut::Item& item = f.items[i];
+    if ((item.flags & FanOut::kFailed) != 0) {
+        item.flags |= FanOut::kDone;
+        CountError();
+        f.on_err(i, kConnectionFailedReason);
+        return;
+    }
+    // Re-resolve the handler at delivery time: an endpoint that
+    // crashed while the request was in flight drops it, and the
+    // caller only learns via the timeout.
+    if (!IsRegistered(item.target)) return;
+    item.response = handlers_[item.target](f.request);
+    const SimTime latency = options_.response_latency.Sample(rng_);
+    bool created = false;
+    const std::uint32_t s =
+        f.Link(f.completions, sim_.Now() + latency, i,
+               &FanOut::Item::next_completion, &created);
+    if (created) {
+        sim_.ScheduleAfter(latency,
+                           [this, fan, s]() { RunFanOutCompletion(*fan, s); });
+    }
+}
+
+void
+SimTransport::RunFanOutCompletion(FanOut& fan, std::size_t slot)
+{
+    std::uint32_t next = fan.completions[slot].head;
+    while (next != FanOut::kNone) {
+        const std::uint32_t i = next;
+        FanOut::Item& item = fan.items[i];
+        next = item.next_completion;
+        Payload response;
+        response.swap(item.response);
+        // A timeout at or before this ms already answered the item.
+        if ((item.flags & FanOut::kDone) != 0) continue;
+        item.flags |= FanOut::kDone;
+        CountOk();
+        fan.on_ok(i, response);
+    }
 }
 
 std::size_t

@@ -5,6 +5,8 @@
 #include "core/upper_controller.h"
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -222,6 +224,46 @@ TEST(UpperController, LastChildResponseExposesQuota)
     ASSERT_TRUE(resp.has_value());
     EXPECT_DOUBLE_EQ(resp->quota, 1750.0);
     EXPECT_EQ(rig.upper->LastChildResponse("ctl:nope"), std::nullopt);
+}
+
+TEST(UpperController, ChildRemovedMidPullKeepsReadingsOnTheirChildren)
+{
+    // Three stub children answer reads with their own name and power.
+    // Removing the middle one while the cycle's pulls are in flight
+    // shifts the roster; every response must still land on the child
+    // that sent it (and none may index past the shrunken roster).
+    sim::Simulation sim;
+    rpc::SimTransport transport(sim, 9);
+    power::PowerDevice sb("sb0", power::DeviceLevel::kSb, 50000.0, 50000.0);
+    const std::vector<std::pair<std::string, Watts>> children = {
+        {"c0", 1000.0}, {"c1", 2000.0}, {"c2", 3000.0}};
+    ControllerBuilder builder(sim, transport);
+    builder.Endpoint("ctl:sb0").ForDevice(sb);
+    for (const auto& [name, power] : children) {
+        transport.Register(name, [name, power](const rpc::Payload&) {
+            api::PowerReadResult r;
+            r.source = name;
+            r.power = power;
+            return rpc::Payload(r);
+        });
+        builder.Child(name);
+    }
+    std::unique_ptr<UpperController> upper = builder.BuildUpper();
+    upper->Activate();
+
+    // The first cycle issues its pulls at 9 s; responses need >= 4 ms.
+    sim.RunUntil(9001);
+    ASSERT_TRUE(upper->RemoveChild("c1"));
+    sim.RunUntil(12000);
+
+    const auto c0 = upper->LastChildResponse("c0");
+    const auto c2 = upper->LastChildResponse("c2");
+    ASSERT_TRUE(c0.has_value());
+    ASSERT_TRUE(c2.has_value());
+    EXPECT_EQ(c0->source, "c0");
+    EXPECT_EQ(c2->source, "c2");
+    EXPECT_EQ(c2->power, 3000.0);
+    EXPECT_EQ(upper->last_aggregated_power(), 4000.0);
 }
 
 }  // namespace

@@ -155,5 +155,29 @@ TEST(FleetIntegration, ServersUnderFindsSubtree)
     EXPECT_TRUE(fleet.ServersUnder("nope").empty());
 }
 
+TEST(FleetIntegration, PullCyclesCostWellUnderOneKernelEventPerRead)
+{
+    // Structural guard on the per-pull event bill: every pull cycle is
+    // one transport fan-out, whose kernel events are per distinct
+    // latency ms rather than per server. A slide back to per-call
+    // events (about 3 per read) fails this deterministic count, where
+    // a wall-clock gate would only see noise.
+    FleetSpec spec;
+    spec.scope = FleetScope::kSb;
+    spec.topology.rpps_per_sb = 4;
+    spec.servers_per_rpp = 250;
+    Fleet fleet(spec);
+    ASSERT_EQ(fleet.servers().size(), 1000u);
+    fleet.RunFor(Seconds(30));
+
+    ASSERT_NE(fleet.metrics(), nullptr);
+    const double reads = static_cast<double>(
+        fleet.metrics()->GetCounter("agent.reads")->value());
+    ASSERT_GE(reads, 9 * 1000.0);  // ten 3 s cycles, minus the first
+    const double events = static_cast<double>(fleet.sim().events_executed());
+    EXPECT_LE(events, 0.25 * reads)
+        << events / reads << " kernel events per agent read";
+}
+
 }  // namespace
 }  // namespace dynamo::fleet

@@ -2,8 +2,11 @@
 // failure injection, timeouts, crash-while-in-flight semantics.
 #include "rpc/transport.h"
 
+#include <ostream>
 #include <stdexcept>
 
+#include "common/archive.h"
+#include "per_item_transport.h"
 #include "telemetry/metrics.h"
 #include <string>
 #include <vector>
@@ -291,6 +294,264 @@ TEST_F(TransportTest, EmptyCallBatchIsANoOp)
     EXPECT_EQ(transport_.CallBatch({}), 0u);
     sim_.RunUntil(100);
     EXPECT_EQ(transport_.calls_issued(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// CallFanOut. SimTransport schedules a fan-out as a handful of kernel
+// events; every item must still see exactly what one Call per target
+// would give it. PerItemTransport is that per-item reference, on the
+// same latency and fault streams.
+// ---------------------------------------------------------------------------
+
+/** One fan-out continuation firing. */
+struct Fired
+{
+    SimTime time = 0;
+    std::size_t item = 0;
+    bool ok = false;
+    std::string reason;
+    int payload = 0;
+
+    bool operator==(const Fired&) const = default;
+};
+
+void
+PrintTo(const Fired& f, std::ostream* os)
+{
+    *os << "{t=" << f.time << " item=" << f.item << " "
+        << (f.ok ? "ok " + std::to_string(f.payload) : f.reason) << "}";
+}
+
+/** Echo handler of endpoint `e`: the reply encodes request and server. */
+RequestHandler
+EchoFrom(int e)
+{
+    return [e](const Payload& req) {
+        return Echo{std::any_cast<Echo>(req).value * 100 + e};
+    };
+}
+
+/** A transport under test recording one callback trace per fan-out. */
+template <typename T>
+struct FanOutRig
+{
+    explicit FanOutRig(SimTransport::Options options = {})
+        : transport(sim, 77, options)
+    {
+    }
+
+    void Issue(const std::vector<EndpointId>& targets, int request,
+               SimTime timeout)
+    {
+        const std::size_t fan = traces.size();
+        traces.emplace_back();
+        transport.CallFanOut(
+            targets, Echo{request},
+            [this, fan](std::size_t i, const Payload& resp) {
+                traces[fan].push_back(
+                    {sim.Now(), i, true, "", std::any_cast<Echo>(resp).value});
+            },
+            [this, fan](std::size_t i, const std::string& reason) {
+                traces[fan].push_back({sim.Now(), i, false, reason, 0});
+            },
+            timeout);
+    }
+
+    std::string Snapshot() const
+    {
+        Archive ar;
+        transport.Snapshot(ar);
+        return ar.bytes();
+    }
+
+    sim::Simulation sim;
+    T transport;
+    std::vector<std::vector<Fired>> traces;
+};
+
+/**
+ * Seeded random fan-outs with every fault class: a down endpoint, a
+ * failure probability (prompt failures and blackholes), a slow
+ * responder whose extra latency exceeds every timeout, a never-
+ * registered endpoint, endpoints crashing mid-flight and coming back,
+ * overlapping fan-outs, and timeouts short enough that responses and
+ * prompt failures land on the deadline ms.
+ */
+template <typename Rig>
+void
+RunFanOutScript(Rig& rig, std::uint64_t seed)
+{
+    constexpr int kEndpoints = 10;
+    std::vector<EndpointId> ids;
+    for (int e = 0; e < kEndpoints; ++e) {
+        ids.push_back(rig.transport.Resolve("ep" + std::to_string(e)));
+    }
+    // ep9 never registers.
+    for (int e = 0; e + 1 < kEndpoints; ++e) {
+        rig.transport.Register(ids[e], EchoFrom(e));
+    }
+    FailureInjector& faults = rig.transport.failures();
+    faults.SetEndpointDown(ids[1], true);
+    faults.SetEndpointExtraLatency(ids[2], 40);
+    faults.SetDefaultFailureProbability(0.2);
+
+    Rng script(seed);
+    SimTime t = 0;
+    for (int round = 0; round < 80; ++round) {
+        t += 1 + static_cast<SimTime>(script.UniformInt(12));
+        std::vector<EndpointId> targets(1 + script.UniformInt(16));
+        for (EndpointId& id : targets) id = ids[script.UniformInt(kEndpoints)];
+        const SimTime timeout = 4 + static_cast<SimTime>(script.UniformInt(12));
+        rig.sim.ScheduleAt(t, [&rig, targets, round, timeout]() {
+            rig.Issue(targets, round, timeout);
+        });
+        if (script.Bernoulli(0.25)) {
+            const int e = 3 + static_cast<int>(script.UniformInt(6));
+            const EndpointId id = ids[e];
+            const SimTime crash = t + static_cast<SimTime>(script.UniformInt(6));
+            rig.sim.ScheduleAt(crash,
+                               [&rig, id]() { rig.transport.Unregister(id); });
+            rig.sim.ScheduleAt(crash + 15, [&rig, id, e]() {
+                if (!rig.transport.IsRegistered(id)) {
+                    rig.transport.Register(id, EchoFrom(e));
+                }
+            });
+        }
+    }
+    rig.sim.RunUntil(t + 1000);
+}
+
+TEST(FanOutDifferential, MatchesPerItemCallsUnderEveryFaultClass)
+{
+    SimTransport::Options options;
+    options.request_latency = {1, 6};
+    options.response_latency = {1, 6};
+    std::size_t ok = 0;
+    std::size_t timeouts = 0;
+    std::size_t failures = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        FanOutRig<SimTransport> fan(options);
+        FanOutRig<PerItemTransport> ref(options);
+        RunFanOutScript(fan, seed);
+        RunFanOutScript(ref, seed);
+
+        ASSERT_EQ(fan.traces.size(), ref.traces.size());
+        for (std::size_t f = 0; f < fan.traces.size(); ++f) {
+            EXPECT_EQ(fan.traces[f], ref.traces[f])
+                << "seed " << seed << " fan-out " << f;
+            for (const Fired& fired : ref.traces[f]) {
+                if (fired.ok) ++ok;
+                else if (fired.reason == "timeout") ++timeouts;
+                else ++failures;
+            }
+        }
+        EXPECT_EQ(fan.Snapshot(), ref.Snapshot()) << "seed " << seed;
+        EXPECT_EQ(fan.sim.Now(), ref.sim.Now());
+        EXPECT_LT(fan.sim.events_executed(), ref.sim.events_executed());
+    }
+    // The script really exercised every ending.
+    EXPECT_GT(ok, 100u);
+    EXPECT_GT(timeouts, 100u);
+    EXPECT_GT(failures, 100u);
+}
+
+TEST(FanOutDifferential, ResponseOnTheDeadlineMsTimesOut)
+{
+    // 3 ms there + 2 ms back lands every response on the 5 ms deadline:
+    // the timeout wins, as it does for a single Call.
+    SimTransport::Options options;
+    options.request_latency = {3, 0};
+    options.response_latency = {2, 0};
+    FanOutRig<SimTransport> fan(options);
+    FanOutRig<PerItemTransport> ref(options);
+    int handled = 0;
+    for (auto* transport : {static_cast<SimTransport*>(&fan.transport),
+                            static_cast<SimTransport*>(&ref.transport)}) {
+        transport->Register("a", [&handled](const Payload&) {
+            ++handled;
+            return Echo{1};
+        });
+    }
+    const std::vector<EndpointId> targets = {fan.transport.Resolve("a"),
+                                             fan.transport.Resolve("a")};
+    fan.Issue(targets, 0, 5);
+    ref.Issue(targets, 0, 5);
+    fan.sim.RunUntil(100);
+    ref.sim.RunUntil(100);
+
+    const std::vector<Fired> want = {{5, 0, false, "timeout", 0},
+                                     {5, 1, false, "timeout", 0}};
+    EXPECT_EQ(fan.traces[0], want);
+    EXPECT_EQ(ref.traces[0], want);
+    EXPECT_EQ(handled, 4);  // handlers still ran on both rigs
+}
+
+TEST(FanOutDifferential, DeadlineInterleavesWithSameMsDeliveries)
+{
+    // Requests arrive on the deadline ms: each live item's timeout
+    // fires before its own delivery, and a prompt failure at that ms
+    // keeps its place in item order.
+    SimTransport::Options options;
+    options.request_latency = {5, 0};
+    options.response_latency = {1, 0};
+    FanOutRig<SimTransport> fan(options);
+    FanOutRig<PerItemTransport> ref(options);
+    for (auto* transport : {static_cast<SimTransport*>(&fan.transport),
+                            static_cast<SimTransport*>(&ref.transport)}) {
+        transport->Register("live", EchoFrom(0));
+        transport->Register("down", EchoFrom(1));
+        transport->failures().SetEndpointDown("down", true);
+    }
+    const EndpointId live = fan.transport.Resolve("live");
+    const EndpointId down = fan.transport.Resolve("down");
+    ASSERT_EQ(ref.transport.Resolve("live"), live);
+    const std::vector<EndpointId> targets = {live, down, live};
+    fan.Issue(targets, 0, 5);
+    ref.Issue(targets, 0, 5);
+    fan.sim.RunUntil(100);
+    ref.sim.RunUntil(100);
+
+    const std::vector<Fired> want = {{5, 0, false, "timeout", 0},
+                                     {5, 1, false, "connection failed", 0},
+                                     {5, 2, false, "timeout", 0}};
+    EXPECT_EQ(fan.traces[0], want);
+    EXPECT_EQ(ref.traces[0], want);
+    EXPECT_EQ(fan.Snapshot(), ref.Snapshot());
+}
+
+TEST(FanOutDifferential, EventBillIsPerDistinctMsNotPerItem)
+{
+    SimTransport::Options options;
+    options.request_latency = {2, 0};
+    options.response_latency = {2, 0};
+    FanOutRig<SimTransport> fan(options);
+    FanOutRig<PerItemTransport> ref(options);
+    fan.transport.Register("a", EchoFrom(0));
+    ref.transport.Register("a", EchoFrom(0));
+    const std::vector<EndpointId> targets(100, fan.transport.Resolve("a"));
+    fan.Issue(targets, 1, 50);
+    ref.Issue(targets, 1, 50);
+    fan.sim.RunUntil(100);
+    ref.sim.RunUntil(100);
+
+    EXPECT_EQ(fan.traces[0], ref.traces[0]);
+    ASSERT_EQ(fan.traces[0].size(), 100u);
+    // One delivery, one completion, one (idle) deadline event — against
+    // a timeout, a delivery and a response per item.
+    EXPECT_EQ(fan.sim.events_executed(), 3u);
+    EXPECT_EQ(ref.sim.events_executed(), 300u);
+    EXPECT_EQ(fan.transport.calls_issued(), 100u);
+    EXPECT_EQ(fan.transport.calls_succeeded(), 100u);
+}
+
+TEST(FanOutDifferential, EmptyFanOutIsANoOp)
+{
+    FanOutRig<SimTransport> fan;
+    fan.Issue({}, 0, 10);
+    fan.sim.RunUntil(100);
+    EXPECT_TRUE(fan.traces[0].empty());
+    EXPECT_EQ(fan.transport.calls_issued(), 0u);
+    EXPECT_EQ(fan.sim.events_executed(), 0u);
 }
 
 // ---------------------------------------------------------------------------

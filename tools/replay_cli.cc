@@ -9,13 +9,16 @@
  *       [--spec modified-spec.txt]
  *   replay_cli bisect --journal run.journal --spec modified-spec.txt
  *   replay_cli info --journal run.journal
+ *   replay_cli diff A.journal B.journal
  *
  * `record --check` arms the chaos invariant checker; the moment any
  * invariant fails, the journal recorded so far is flushed to
  * `<out>.violation` — a ready-to-run reproduction of the failure.
  * `verify --spec` / `bisect --spec` replay the journal under a
  * different spec (the "modified binary" workflow) and report the first
- * divergent cycle.
+ * divergent cycle. `diff` compares two journals field class by field
+ * class (window times, kernel and RPC hashes, spans, faults,
+ * reconfigs, checkpoint bytes) and exits 1 when any class differs.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +27,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "chaos/campaign.h"
 #include "chaos/invariants.h"
@@ -32,6 +36,7 @@
 #include "policy/capping_policy.h"
 #include "replay/bisect.h"
 #include "replay/journal.h"
+#include "replay/journal_diff.h"
 #include "replay/recorder.h"
 #include "replay/replayer.h"
 #include "replay/scenario.h"
@@ -44,6 +49,7 @@ struct Options
 {
     std::string command;
     std::string journal_path;
+    std::vector<std::string> positional;  ///< diff's two journal paths.
     std::string out_path;
     std::string spec_path;
     std::string scenario = "mixed-faults";
@@ -62,13 +68,14 @@ Usage(const char* argv0)
 {
     std::cerr
         << "usage: " << argv0
-        << " <record|verify|bisect|info|list> [options]\n"
+        << " <record|verify|bisect|info|diff|list> [options]\n"
         << "  record --out PATH [--spec FILE] [--scenario NAME[(k=v,...)]]\n"
         << "         [--duration-s N] [--cycle-ms N] [--checkpoint-every N]\n"
         << "         [--check] [--audit-qos] [--policy NAME]\n"
         << "  verify --journal PATH [--from-checkpoint N] [--spec FILE]\n"
         << "  bisect --journal PATH --spec FILE\n"
         << "  info   --journal PATH\n"
+        << "  diff   A.journal B.journal\n"
         << "  list   (print the scenario catalog)\n"
         << "scenarios:";
     for (const auto& name : replay::ScenarioNames()) std::cerr << " " << name;
@@ -119,6 +126,8 @@ Parse(int argc, char** argv)
                 std::exit(2);
             }
             opt.policy = kind;
+        } else if (opt.command == "diff" && arg.rfind("--", 0) != 0) {
+            opt.positional.push_back(arg);
         } else {
             Usage(argv[0]);
         }
@@ -291,6 +300,20 @@ Info(const Options& opt)
 }
 
 int
+Diff(const Options& opt)
+{
+    if (opt.positional.size() != 2) {
+        std::cerr << "diff: needs exactly two journal paths\n";
+        return 2;
+    }
+    const replay::JournalDiff diff =
+        replay::DiffJournals(replay::ReadJournalFile(opt.positional[0]),
+                             replay::ReadJournalFile(opt.positional[1]));
+    std::cout << replay::FormatJournalDiff(diff);
+    return diff.identical() ? 0 : 1;
+}
+
+int
 List()
 {
     for (const replay::Scenario& scenario : replay::ScenarioCatalog()) {
@@ -315,6 +338,7 @@ main(int argc, char** argv)
         if (opt.command == "verify") return Verify(opt);
         if (opt.command == "bisect") return Bisect(opt);
         if (opt.command == "info") return Info(opt);
+        if (opt.command == "diff") return Diff(opt);
         if (opt.command == "list") return List();
         Usage(argv[0]);
     } catch (const std::exception& e) {
