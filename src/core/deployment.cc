@@ -13,10 +13,6 @@ namespace dynamo::core {
 class DeploymentBuilder
 {
   public:
-    /** All SimServer loads in `device`'s subtree. */
-    static std::vector<server::SimServer*> ServersUnder(
-        power::PowerDevice& device);
-
     /**
      * Recursive construction: returns the controller endpoint for
      * `device`, or "" when the subtree contains no controllers.
@@ -33,20 +29,6 @@ class DeploymentBuilder
                                              const DeploymentConfig& config);
 };
 
-std::vector<server::SimServer*>
-DeploymentBuilder::ServersUnder(power::PowerDevice& device)
-{
-    std::vector<server::SimServer*> servers;
-    device.ForEach([&](power::PowerDevice& d) {
-        for (power::PowerLoad* load : d.loads()) {
-            if (auto* srv = dynamic_cast<server::SimServer*>(load)) {
-                servers.push_back(srv);
-            }
-        }
-    });
-    return servers;
-}
-
 std::string
 DeploymentBuilder::BuildControllersFor(power::PowerDevice& device,
                                        sim::Simulation& sim,
@@ -62,7 +44,7 @@ DeploymentBuilder::BuildControllersFor(power::PowerDevice& device,
             .ForDevice(device)
             .LeafConfig(config.leaf)
             .Log(&deployment->log_);
-        for (server::SimServer* srv : ServersUnder(device)) {
+        for (server::SimServer* srv : server::ServersUnder(device)) {
             builder.Agent(AgentInfoFor(*srv));
         }
         auto leaf = builder.BuildLeaf();
@@ -124,7 +106,7 @@ DeploymentBuilder::Build(sim::Simulation& sim, rpc::Transport& transport,
     deployment->traces_ = telemetry::TraceLog(config.trace_capacity);
 
     // Agents for every server anywhere under the root.
-    for (server::SimServer* srv : ServersUnder(root)) {
+    for (server::SimServer* srv : server::ServersUnder(root)) {
         auto agent = std::make_unique<DynamoAgent>(
             sim, transport, *srv, Deployment::AgentEndpoint(srv->name()));
         deployment->agent_by_endpoint_[agent->endpoint()] = agent.get();

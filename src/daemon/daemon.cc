@@ -9,7 +9,6 @@
 #include "core/api.h"
 #include "core/controller_builder.h"
 #include "fleet/spec_parser.h"
-#include "workload/load_process.h"
 
 namespace dynamo::daemon {
 
@@ -25,93 +24,6 @@ void HandleStopSignal(int)
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// FleetLayout
-// ---------------------------------------------------------------------------
-
-FleetLayout::FleetLayout(fleet::FleetSpec s)
-    : spec(std::move(s)), diurnal(spec.diurnal_amplitude)
-{
-    traffic.Add(&diurnal);
-    traffic.Add(&scenario);
-    traffic.Add(&balancer);
-
-    switch (spec.scope) {
-      case fleet::FleetScope::kRpp:
-        root = power::BuildRpp("rpp0", spec.topology.rpp_rated,
-                               spec.topology.rpp_rated);
-        break;
-      case fleet::FleetScope::kSb:
-        root = power::BuildSbTree("sb0", spec.topology.rpps_per_sb,
-                                  spec.topology);
-        break;
-      case fleet::FleetScope::kMsb:
-        root = power::BuildMsbTree(spec.topology);
-        break;
-    }
-
-    // Replicate fleet::Fleet::BuildServersFor byte-for-byte: one Rng
-    // walk over every RPP in pre-order, same draw sequence per server.
-    // Every daemon therefore derives identical server configs — the
-    // shared-spec contract that replaces a discovery protocol.
-    Rng rng(spec.seed);
-    for (power::PowerDevice* rpp :
-         root->DevicesAtLevel(power::DeviceLevel::kRpp)) {
-        const std::vector<workload::ServiceType> services =
-            fleet::AssignServices(spec.mix, spec.servers_per_rpp);
-
-        if (spec.tor_switch_power > 0.0) {
-            switches.push_back(
-                std::make_unique<power::FixedLoad>(spec.tor_switch_power));
-            rpp->AttachLoad(switches.back().get());
-        }
-
-        for (std::size_t i = 0; i < spec.servers_per_rpp; ++i) {
-            server::SimServer::Config config;
-            config.name = rpp->name() + "/s" + std::to_string(i);
-            config.generation = rng.Bernoulli(spec.haswell_fraction)
-                                    ? server::ServerGeneration::kHaswell2015
-                                    : server::ServerGeneration::kWestmere2011;
-            config.service = services[i];
-            config.has_sensor = !rng.Bernoulli(spec.sensorless_fraction);
-            config.turbo_enabled = spec.turbo_enabled;
-            config.spec_override = spec.spec_override;
-            config.seed = rng.NextU64();
-            servers.push_back(std::make_unique<server::SimServer>(
-                config, workload::LoadProcessParams::For(config.service),
-                &traffic));
-            rpp->AttachLoad(servers.back().get());
-        }
-    }
-}
-
-std::vector<server::SimServer*>
-FleetLayout::ServersUnder(const std::string& device_name) const
-{
-    std::vector<server::SimServer*> result;
-    power::PowerDevice* device = root->Find(device_name);
-    if (device == nullptr) return result;
-    device->ForEach([&](power::PowerDevice& d) {
-        for (power::PowerLoad* load : d.loads()) {
-            if (auto* srv = dynamic_cast<server::SimServer*>(load)) {
-                result.push_back(srv);
-            }
-        }
-    });
-    return result;
-}
-
-power::PowerDevice&
-FleetLayout::DeviceOrThrow(const std::string& device_name) const
-{
-    power::PowerDevice* device = root->Find(device_name);
-    if (device == nullptr) {
-        throw std::invalid_argument("no device named '" + device_name +
-                                    "' in the fleet spec topology");
-    }
-    return *device;
-}
-
-// ---------------------------------------------------------------------------
 // Daemon
 // ---------------------------------------------------------------------------
 
@@ -120,8 +32,8 @@ Daemon::Daemon(Options options)
       transport_(rpc::SocketTransport::Options{options_.epoch,
                                                std::chrono::milliseconds(1000)})
 {
-    fleet::FleetSpec spec = fleet::ParseFleetSpecString(options_.spec_text);
-    layout_ = std::make_unique<FleetLayout>(std::move(spec));
+    layout_ = std::make_unique<fleet::FleetLayout>(
+        fleet::ParseFleetSpecString(options_.spec_text));
 
     if (options_.device.empty()) {
         throw std::invalid_argument("daemon requires a --device to serve");
@@ -172,7 +84,7 @@ Daemon::BuildLeafRole()
     core::ControllerBuilder builder(sim_, transport_);
     builder.Endpoint(endpoint_)
         .ForDevice(device)
-        .LeafConfig(layout_->spec.deployment.leaf)
+        .LeafConfig(layout_->spec().deployment.leaf)
         .Telemetry(&metrics_, nullptr);
     for (server::SimServer* srv : layout_->ServersUnder(options_.device)) {
         builder.Agent(core::AgentInfoFor(*srv));
@@ -194,7 +106,7 @@ Daemon::BuildUpperRole()
     core::ControllerBuilder builder(sim_, transport_);
     builder.Endpoint(endpoint_)
         .ForDevice(device)
-        .UpperConfig(layout_->spec.deployment.upper)
+        .UpperConfig(layout_->spec().deployment.upper)
         .Telemetry(&metrics_, nullptr);
     for (const auto& [child_device, address] : options_.children) {
         layout_->DeviceOrThrow(child_device);

@@ -4,10 +4,11 @@
  * Agent / LeafController / UpperController classes as real processes
  * over SocketTransport (tools/dynamo_agentd, tools/dynamo_controllerd).
  *
- * Each daemon loads the same fleet spec and deterministically derives
- * the full fleet layout exactly as fleet::Fleet would — same topology
- * walk, same RNG draw order for per-server generation / sensor /
- * seed — then instantiates only the component it hosts:
+ * Each daemon loads the same fleet spec and builds the same
+ * fleet::FleetLayout from it that fleet::Fleet simulates on: one
+ * derivation of the device tree and of every server's service,
+ * generation, sensor and seed. It then instantiates only the component
+ * it hosts:
  *
  *   - an **agent daemon** hosts the simulated servers of one leaf
  *     device and their DynamoAgents (in production the "server" is the
@@ -47,45 +48,12 @@
 
 #include "core/agent.h"
 #include "core/deployment.h"
-#include "fleet/fleet.h"
+#include "fleet/layout.h"
 #include "rpc/socket_transport.h"
 #include "sim/simulation.h"
 #include "telemetry/metrics.h"
 
 namespace dynamo::daemon {
-
-/**
- * The deterministically derived fleet layout: topology tree plus every
- * server, constructed with byte-identical configs to fleet::Fleet
- * (same Rng(seed) draw order). Daemons build the whole layout — it is
- * cheap relative to a process — and pick their subtree out of it.
- */
-struct FleetLayout
-{
-    fleet::FleetSpec spec;
-    std::unique_ptr<power::PowerDevice> root;
-    std::vector<std::unique_ptr<server::SimServer>> servers;
-    std::vector<std::unique_ptr<power::FixedLoad>> switches;
-
-    // Traffic components wired exactly as fleet::Fleet wires them;
-    // owned here so the servers' pointers stay valid.
-    workload::DiurnalTraffic diurnal;
-    workload::PiecewiseTraffic scenario;
-    workload::ConstantTraffic balancer{1.0};
-    workload::CompositeTraffic traffic;
-
-    explicit FleetLayout(fleet::FleetSpec s);
-
-    FleetLayout(const FleetLayout&) = delete;
-    FleetLayout& operator=(const FleetLayout&) = delete;
-
-    /** Servers attached under the named device subtree. */
-    std::vector<server::SimServer*> ServersUnder(
-        const std::string& device_name) const;
-
-    /** Device by name; throws std::invalid_argument when unknown. */
-    power::PowerDevice& DeviceOrThrow(const std::string& device_name) const;
-};
 
 /** One Dynamo deployment-mode process. */
 class Daemon
@@ -136,7 +104,8 @@ class Daemon
     /**
      * One loop pass: poll sockets, then advance the sim clock to the
      * wall-clock milliseconds elapsed since construction. Returns the
-     * number of frames dispatched.
+     * number of frames dispatched (SocketTransport::PollOnce), so an
+     * agent daemon counts every read it served.
      */
     std::size_t Step();
 
@@ -155,7 +124,7 @@ class Daemon
 
     rpc::SocketTransport& transport() { return transport_; }
     sim::Simulation& sim() { return sim_; }
-    const FleetLayout& layout() const { return *layout_; }
+    const fleet::FleetLayout& layout() const { return *layout_; }
 
     /** Hosted controller endpoint name ("" for agent daemons). */
     const std::string& controller_endpoint() const { return endpoint_; }
@@ -171,7 +140,7 @@ class Daemon
     sim::Simulation sim_;
     rpc::SocketTransport transport_;
     telemetry::MetricsRegistry metrics_;
-    std::unique_ptr<FleetLayout> layout_;
+    std::unique_ptr<fleet::FleetLayout> layout_;
 
     /** Hosted components (per role; the others stay empty). */
     std::vector<std::unique_ptr<core::DynamoAgent>> agents_;

@@ -1,90 +1,35 @@
 #include "fleet/fleet.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
-
-#include "workload/load_process.h"
 
 namespace dynamo::fleet {
 
-std::vector<workload::ServiceType>
-AssignServices(const ServiceMix& mix, std::size_t n)
+Fleet::Fleet(FleetSpec fleet_spec)
+    : layout_(std::move(fleet_spec)), transport_(sim_, spec().seed ^ 0x7a77ULL)
 {
-    assert(!mix.shares.empty() && "service mix must not be empty");
-    double total = 0.0;
-    for (const auto& share : mix.shares) total += share.weight;
-
-    std::vector<workload::ServiceType> assignment;
-    assignment.reserve(n);
-    double cumulative = 0.0;
-    for (const auto& share : mix.shares) {
-        cumulative += share.weight;
-        const auto upto = static_cast<std::size_t>(
-            std::llround(cumulative / total * static_cast<double>(n)));
-        while (assignment.size() < upto) assignment.push_back(share.service);
-    }
-    while (assignment.size() < n) assignment.push_back(mix.shares.back().service);
-    return assignment;
-}
-
-Fleet::Fleet(FleetSpec spec)
-    : spec_(std::move(spec)),
-      transport_(sim_, spec_.seed ^ 0x7a77ULL),
-      diurnal_(spec_.diurnal_amplitude)
-{
-    traffic_.Add(&diurnal_);
-    traffic_.Add(&scenario_);
-    traffic_.Add(&balancer_);
-
-    switch (spec_.scope) {
-      case FleetScope::kRpp:
-        root_ = power::BuildRpp("rpp0", spec_.topology.rpp_rated,
-                                spec_.topology.rpp_rated);
-        break;
-      case FleetScope::kSb:
-        root_ = power::BuildSbTree("sb0", spec_.topology.rpps_per_sb,
-                                   spec_.topology);
-        break;
-      case FleetScope::kMsb:
-        root_ = power::BuildMsbTree(spec_.topology);
-        break;
-    }
-
-    Rng rng(spec_.seed);
-    std::size_t counter = 0;
-    // DevicesAtLevel includes the root itself, so a bare-RPP fleet
-    // gets its servers attached directly to the root.
-    for (power::PowerDevice* rpp :
-         root_->DevicesAtLevel(power::DeviceLevel::kRpp)) {
-        BuildServersFor(*rpp, rng, &counter);
-    }
-
     monitor_ = std::make_unique<power::BreakerMonitor>(
-        sim_, *root_, spec_.breaker_monitor_period);
+        sim_, layout_.root(), spec().breaker_monitor_period);
 
-    if (spec_.with_dynamo) {
-        deployment_ =
-            core::BuildDeployment(sim_, transport_, *root_, spec_.deployment);
-        if (spec_.deployment.with_telemetry) {
+    if (spec().with_dynamo) {
+        deployment_ = core::BuildDeployment(sim_, transport_, layout_.root(),
+                                            spec().deployment);
+        if (spec().deployment.with_telemetry) {
             transport_.AttachMetrics(&deployment_->metrics());
         }
-        if (spec_.with_load_shedding) {
+        if (spec().with_load_shedding) {
             shedder_ = std::make_unique<Shedder>(*this);
             for (const auto& leaf : deployment_->leaf_controllers()) {
                 leaf->SetLoadShedder(shedder_.get());
             }
         }
-        if (spec_.with_breaker_validation) {
+        if (spec().with_breaker_validation) {
             for (const auto& leaf : deployment_->leaf_controllers()) {
                 breaker_telemetry_.push_back(
                     std::make_unique<power::BreakerTelemetry>(
                         sim_, leaf->device(), /*period=*/60000,
                         /*noise_frac=*/0.02,
-                        spec_.seed ^ breaker_telemetry_.size()));
+                        spec().seed ^ breaker_telemetry_.size()));
                 leaf->AttachBreakerTelemetry(breaker_telemetry_.back().get());
             }
         }
@@ -123,42 +68,6 @@ Fleet::PublishKernelStats()
 }
 
 void
-Fleet::BuildServersFor(power::PowerDevice& rpp, Rng& rng, std::size_t* counter)
-{
-    const std::vector<workload::ServiceType> services =
-        AssignServices(spec_.mix, spec_.servers_per_rpp);
-
-    if (spec_.tor_switch_power > 0.0) {
-        switches_.push_back(
-            std::make_unique<power::FixedLoad>(spec_.tor_switch_power));
-        rpp.AttachLoad(switches_.back().get());
-    }
-
-    for (std::size_t i = 0; i < spec_.servers_per_rpp; ++i) {
-        server::SimServer::Config config;
-        config.name = rpp.name() + "/s" + std::to_string(i);
-        // The GPU draw only exists when gpu_fraction is set: a zero
-        // fraction must not consume an RNG draw, or every pre-GPU seed
-        // (and every committed golden journal) would shift streams.
-        config.generation =
-            (spec_.gpu_fraction > 0.0 && rng.Bernoulli(spec_.gpu_fraction))
-                ? server::ServerGeneration::kGpuTrain2024
-            : rng.Bernoulli(spec_.haswell_fraction)
-                ? server::ServerGeneration::kHaswell2015
-                : server::ServerGeneration::kWestmere2011;
-        config.service = services[i];
-        config.has_sensor = !rng.Bernoulli(spec_.sensorless_fraction);
-        config.turbo_enabled = spec_.turbo_enabled;
-        config.spec_override = spec_.spec_override;
-        ++*counter;
-        config.seed = rng.NextU64();
-        servers_.push_back(std::make_unique<server::SimServer>(
-            config, workload::LoadProcessParams::For(config.service), &traffic_));
-        rpp.AttachLoad(servers_.back().get());
-    }
-}
-
-void
 Fleet::Shedder::RequestShed(const std::string& domain, double fraction)
 {
     // Domains are controller endpoints ("ctl:<device>").
@@ -179,22 +88,6 @@ Fleet::Shedder::ClearShed(const std::string& domain)
     }
 }
 
-std::vector<server::SimServer*>
-Fleet::ServersUnder(const std::string& device_name)
-{
-    std::vector<server::SimServer*> result;
-    power::PowerDevice* device = root_->Find(device_name);
-    if (device == nullptr) return result;
-    device->ForEach([&](power::PowerDevice& d) {
-        for (power::PowerLoad* load : d.loads()) {
-            if (auto* srv = dynamic_cast<server::SimServer*>(load)) {
-                result.push_back(srv);
-            }
-        }
-    });
-    return result;
-}
-
 std::vector<std::string>
 Fleet::AgentEndpointsUnder(const std::string& device_name)
 {
@@ -209,7 +102,7 @@ std::vector<std::string>
 Fleet::ControllerEndpointsUnder(const std::string& device_name)
 {
     std::vector<std::string> endpoints;
-    power::PowerDevice* device = root_->Find(device_name);
+    power::PowerDevice* device = layout_.root().Find(device_name);
     if (device == nullptr || deployment_ == nullptr) return endpoints;
     device->ForEach([&](power::PowerDevice& d) {
         const std::string endpoint = core::Deployment::ControllerEndpoint(d.name());
@@ -225,7 +118,7 @@ std::vector<server::SimServer*>
 Fleet::ServersOf(workload::ServiceType service)
 {
     std::vector<server::SimServer*> result;
-    for (const auto& srv : servers_) {
+    for (const auto& srv : servers()) {
         if (srv->service() == service) result.push_back(srv.get());
     }
     return result;
@@ -238,7 +131,7 @@ Fleet::ScheduleReconfig(ReconfigTxn txn)
     // Commit at the next upper-cycle window barrier: the 9 s cadence is
     // the coarsest control period, so every controller sees either the
     // old topology or the new one, never a mix mid-decision.
-    const SimTime window = spec_.deployment.upper.base.pull_cycle;
+    const SimTime window = spec().deployment.upper.base.pull_cycle;
     const SimTime at = (sim_.Now() / window + 1) * window;
     sim_.ScheduleAt(at, [this, txn = std::move(txn)]() { ApplyReconfig(txn); });
 }
@@ -249,9 +142,9 @@ Fleet::ValidateReconfig(const ReconfigTxn& txn) const
     if (txn.empty()) {
         throw std::invalid_argument("reconfig: empty transaction");
     }
-    const power::DeviceLevel leaf_level = spec_.deployment.leaf_level;
+    const power::DeviceLevel leaf_level = spec().deployment.leaf_level;
     for (const ReconfigOp& op : txn.ops) {
-        power::PowerDevice* dev = root_->Find(op.target);
+        power::PowerDevice* dev = layout_.root().Find(op.target);
         const std::string ctl = core::Deployment::ControllerEndpoint(op.target);
         switch (op.kind) {
           case ReconfigOp::Kind::kAddServers:
@@ -288,7 +181,7 @@ Fleet::ValidateReconfig(const ReconfigTxn& txn) const
                     "reconfig: reparent target \"" + op.target +
                     "\" is not a non-root leaf-level device");
             }
-            power::PowerDevice* np = root_->Find(op.new_parent);
+            power::PowerDevice* np = layout_.root().Find(op.new_parent);
             if (np == nullptr) {
                 throw std::invalid_argument("reconfig: unknown new parent \"" +
                                             op.new_parent + "\"");
@@ -379,62 +272,31 @@ Fleet::ApplyReconfig(const ReconfigTxn& txn)
 void
 Fleet::ApplyAddServers(const ReconfigOp& op)
 {
-    power::PowerDevice* rpp = root_->Find(op.target);
+    power::PowerDevice* rpp = layout_.root().Find(op.target);
     if (rpp == nullptr) {
         throw std::runtime_error("reconfig: device \"" + op.target +
                                  "\" vanished before commit");
     }
-    // A fresh deterministic stream per (seed, epoch): provisioning must
-    // not perturb the boot-time RNG positions of existing servers.
-    Rng rng(spec_.seed ^ (0x9e3779b97f4a7c15ULL * spec_epoch_));
-    const std::vector<workload::ServiceType> services =
-        AssignServices(spec_.mix, op.count);
-    core::LeafController* leaf = nullptr;
-    core::LeafController* leaf_backup = nullptr;
-    if (deployment_) {
-        const std::string ep = core::Deployment::ControllerEndpoint(op.target);
-        leaf = deployment_->FindLeaf(ep);
-        leaf_backup = deployment_->FindLeafBackup(ep);
-    }
-    for (std::size_t i = 0; i < op.count; ++i) {
-        server::SimServer::Config config;
-        // Epoch-qualified names keep provisioned servers unique across
-        // repeated expansions of the same leaf.
-        config.name = op.target + "/e" + std::to_string(spec_epoch_) + "s" +
-                      std::to_string(i);
-        // Mirrors BuildServersFor: the GPU draw happens only when the
-        // fraction is set, keeping pre-GPU provisioning streams exact.
-        config.generation =
-            (spec_.gpu_fraction > 0.0 && rng.Bernoulli(spec_.gpu_fraction))
-                ? server::ServerGeneration::kGpuTrain2024
-            : rng.Bernoulli(spec_.haswell_fraction)
-                ? server::ServerGeneration::kHaswell2015
-                : server::ServerGeneration::kWestmere2011;
-        config.service = services[i];
-        config.has_sensor = !rng.Bernoulli(spec_.sensorless_fraction);
-        config.turbo_enabled = spec_.turbo_enabled;
-        config.spec_override = spec_.spec_override;
-        config.seed = rng.NextU64();
-        servers_.push_back(std::make_unique<server::SimServer>(
-            config, workload::LoadProcessParams::For(config.service),
-            &traffic_));
-        server::SimServer* srv = servers_.back().get();
-        rpp->AttachLoad(srv);
-        if (deployment_) {
-            deployment_->AdoptServer(sim_, transport_, *srv);
-            // Both leaf instances learn the roster: after a failover
-            // the standby must keep controlling the grown domain.
-            const core::AgentInfo info = core::AgentInfoFor(*srv);
-            if (leaf != nullptr) leaf->AddAgent(info);
-            if (leaf_backup != nullptr) leaf_backup->AddAgent(info);
-        }
+    const std::vector<server::SimServer*> added =
+        layout_.AddServers(*rpp, op.count, spec_epoch_);
+    if (!deployment_) return;
+    const std::string ep = core::Deployment::ControllerEndpoint(op.target);
+    core::LeafController* leaf = deployment_->FindLeaf(ep);
+    core::LeafController* leaf_backup = deployment_->FindLeafBackup(ep);
+    for (server::SimServer* srv : added) {
+        deployment_->AdoptServer(sim_, transport_, *srv);
+        // Both leaf instances learn the roster: after a failover the
+        // standby must keep controlling the grown domain.
+        const core::AgentInfo info = core::AgentInfoFor(*srv);
+        if (leaf != nullptr) leaf->AddAgent(info);
+        if (leaf_backup != nullptr) leaf_backup->AddAgent(info);
     }
 }
 
 void
 Fleet::ApplyRemoveSubtree(const ReconfigOp& op)
 {
-    power::PowerDevice* dev = root_->Find(op.target);
+    power::PowerDevice* dev = layout_.root().Find(op.target);
     if (dev == nullptr || dev->parent() == nullptr) {
         throw std::runtime_error("reconfig: device \"" + op.target +
                                  "\" vanished before commit");
@@ -445,31 +307,13 @@ Fleet::ApplyRemoveSubtree(const ReconfigOp& op)
     // Decommission order matters: caps come off the servers while the
     // subtree is still powered (a decommission is a drain, not a
     // crash), then the agents, then the controllers, then the metal.
-    const std::vector<server::SimServer*> doomed = ServersUnder(op.target);
-    for (server::SimServer* srv : doomed) {
+    for (server::SimServer* srv : ServersUnder(op.target)) {
         srv->ClearPowerLimit(now);
         if (deployment_) {
             deployment_->RemoveAgent(core::Deployment::AgentEndpoint(srv->name()),
                                      transport_);
         }
     }
-    dev->ForEach([&](power::PowerDevice& d) {
-        const std::vector<power::PowerLoad*> attached = d.loads();
-        for (power::PowerLoad* load : attached) {
-            if (dynamic_cast<server::SimServer*>(load) != nullptr) {
-                d.DetachLoad(load);
-            }
-        }
-    });
-    const std::unordered_set<const server::SimServer*> gone(doomed.begin(),
-                                                            doomed.end());
-    servers_.erase(
-        std::remove_if(servers_.begin(), servers_.end(),
-                       [&](const std::unique_ptr<server::SimServer>& s) {
-                           return gone.count(s.get()) != 0;
-                       }),
-        servers_.end());
-
     if (deployment_) {
         const std::string parent_ep =
             core::Deployment::ControllerEndpoint(dev->parent()->name());
@@ -481,14 +325,14 @@ Fleet::ApplyRemoveSubtree(const ReconfigOp& op)
         }
         deployment_->RemoveLeaf(ctl_ep, transport_);
     }
-    retired_devices_.push_back(dev->parent()->RemoveChild(op.target));
+    layout_.RetireSubtree(*dev);
 }
 
 void
 Fleet::ApplyReparent(const ReconfigOp& op)
 {
-    power::PowerDevice* dev = root_->Find(op.target);
-    power::PowerDevice* new_parent = root_->Find(op.new_parent);
+    power::PowerDevice* dev = layout_.root().Find(op.target);
+    power::PowerDevice* new_parent = layout_.root().Find(op.new_parent);
     if (dev == nullptr || new_parent == nullptr ||
         dev->parent() == nullptr || dev->parent() == new_parent) {
         throw std::runtime_error("reconfig: reparent of \"" + op.target +
@@ -548,20 +392,20 @@ Fleet::Snapshot(Archive& ar) const
     sim_.Snapshot(ar);
     transport_.Snapshot(ar);
     ar.U64(spec_epoch_);
-    ar.F64(balancer_.factor());
+    ar.F64(global_traffic_factor());
     // Pre-order device walk: construction order is deterministic, so
     // the visit order (and hence the byte stream) is too.
     std::uint64_t device_count = 0;
-    root_->ForEach([&](power::PowerDevice&) { ++device_count; });
+    layout_.root().ForEach([&](power::PowerDevice&) { ++device_count; });
     ar.U64(device_count);
-    root_->ForEach([&](power::PowerDevice& dev) {
+    layout_.root().ForEach([&](power::PowerDevice& dev) {
         ar.Str(dev.name());
         ar.F64(dev.quota());
         dev.breaker().Snapshot(ar);
     });
     ar.U64(monitor_ ? monitor_->trip_count() : 0);
-    ar.U64(servers_.size());
-    for (const auto& s : servers_) s->Snapshot(ar);
+    ar.U64(servers().size());
+    for (const auto& s : servers()) s->Snapshot(ar);
     if (deployment_) deployment_->Snapshot(ar);
 }
 

@@ -12,21 +12,18 @@
 #ifndef DYNAMO_FLEET_FLEET_H_
 #define DYNAMO_FLEET_FLEET_H_
 
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include <functional>
-
-#include "common/rng.h"
 #include "core/deployment.h"
 #include "core/load_shed.h"
+#include "fleet/layout.h"
 #include "fleet/reconfig.h"
 #include "power/breaker_monitor.h"
 #include "power/breaker_telemetry.h"
 #include "power/device.h"
-#include "power/topology.h"
 #include "rpc/transport.h"
 #include "server/sim_server.h"
 #include "sim/simulation.h"
@@ -35,127 +32,11 @@
 
 namespace dynamo::fleet {
 
-/** Proportions of services across a fleet's servers. */
-struct ServiceMix
-{
-    struct Share
-    {
-        workload::ServiceType service;
-        double weight;
-    };
-
-    std::vector<Share> shares;
-
-    /** Every server runs `service`. */
-    static ServiceMix Single(workload::ServiceType service)
-    {
-        return ServiceMix{{{service, 1.0}}};
-    }
-
-    /** The paper's front-end row: web + cache + feed (Fig. 15 ratios). */
-    static ServiceMix FrontEndRow()
-    {
-        return ServiceMix{{{workload::ServiceType::kWeb, 200.0},
-                           {workload::ServiceType::kCache, 200.0},
-                           {workload::ServiceType::kNewsfeed, 40.0}}};
-    }
-
-    /** A varied data-center mix over all six services. */
-    static ServiceMix Datacenter()
-    {
-        return ServiceMix{{{workload::ServiceType::kWeb, 0.30},
-                           {workload::ServiceType::kCache, 0.15},
-                           {workload::ServiceType::kHadoop, 0.20},
-                           {workload::ServiceType::kDatabase, 0.10},
-                           {workload::ServiceType::kNewsfeed, 0.10},
-                           {workload::ServiceType::kF4Storage, 0.15}}};
-    }
-};
-
 /**
- * Deterministic service assignment for `n` servers: contiguous blocks
- * proportional to the mix weights, in mix order. Shared by Fleet and
- * the deployment daemons (which must derive byte-identical rosters
- * from the same spec).
+ * The instantiated fleet: a FleetLayout plus the simulation kernel,
+ * transport, breaker monitor and (optionally) the Dynamo control plane
+ * over it. Owns everything it builds.
  */
-std::vector<workload::ServiceType> AssignServices(const ServiceMix& mix,
-                                                  std::size_t n);
-
-/** How much of the hierarchy to instantiate. */
-enum class FleetScope { kRpp, kSb, kMsb };
-
-/** Declarative description of a simulated fleet. */
-struct FleetSpec
-{
-    FleetScope scope = FleetScope::kSb;
-
-    /** Device shape/ratings (rpps-per-SB etc. read from here). */
-    power::TopologySpec topology;
-
-    /** Servers attached to each RPP (leaf domain size). */
-    std::size_t servers_per_rpp = 240;
-
-    ServiceMix mix = ServiceMix::Datacenter();
-
-    /** Fraction of 2015-generation (Haswell) servers; rest are 2011. */
-    double haswell_fraction = 0.7;
-
-    /** Fraction of servers without a power sensor (agent estimates). */
-    double sensorless_fraction = 0.02;
-
-    /**
-     * Fraction of GPU training nodes (kGpuTrain2024). Drawn before the
-     * CPU-generation split; 0 (the default) draws nothing, so existing
-     * seeds keep their exact RNG streams.
-     */
-    double gpu_fraction = 0.0;
-
-    /** Turbo Boost enabled fleet-wide (Section IV-B experiments). */
-    bool turbo_enabled = false;
-
-    /** Optional per-server power-spec override (custom SKU). */
-    std::optional<server::ServerPowerSpec> spec_override;
-
-    /** Non-cappable switch power attached to each RPP. */
-    Watts tor_switch_power = 300.0;
-
-    /** Diurnal traffic amplitude (0 disables the diurnal component). */
-    double diurnal_amplitude = 0.25;
-
-    std::uint64_t seed = 42;
-
-    /** Build the Dynamo control plane (false = uncontrolled baseline). */
-    bool with_dynamo = true;
-
-    /**
-     * Attach coarse breaker telemetry to every leaf controller so
-     * aggregations are validated and sensorless servers' estimation
-     * models are dynamically tuned (Section VI lessons).
-     */
-    bool with_breaker_validation = false;
-
-    /**
-     * Wire a traffic shedder to every leaf controller: when capping
-     * bottoms out at the SLA floors, the controller drains part of its
-     * domain's traffic instead of letting the breaker trip.
-     */
-    bool with_load_shedding = false;
-
-    core::DeploymentConfig deployment;
-
-    SimTime breaker_monitor_period = 1000;
-
-    /**
-     * Default replay scenario for this spec, as a scenario-spec string
-     * ("grid-dr(drop_frac=0.2)"). The fleet itself never reads it —
-     * replay-layer tools (replay_cli, benches) resolve it against the
-     * scenario catalog; the parser only validates the structure.
-     * Empty = no default (tools fall back to their own).
-     */
-    std::string scenario;
-};
-
-/** The instantiated fleet; owns everything it builds. */
 class Fleet
 {
   public:
@@ -166,7 +47,7 @@ class Fleet
 
     sim::Simulation& sim() { return sim_; }
     rpc::SimTransport& transport() { return transport_; }
-    power::PowerDevice& root() { return *root_; }
+    power::PowerDevice& root() { return layout_.root(); }
     power::BreakerMonitor& breaker_monitor() { return *monitor_; }
 
     /** Dynamo control plane; nullptr when spec.with_dynamo is false. */
@@ -199,16 +80,20 @@ class Fleet
      */
     void PublishKernelStats();
 
-    const FleetSpec& spec() const { return spec_; }
+    const FleetSpec& spec() const { return layout_.spec(); }
 
     /** All servers (owned by the fleet), in construction order. */
     const std::vector<std::unique_ptr<server::SimServer>>& servers() const
     {
-        return servers_;
+        return layout_.servers();
     }
 
     /** Servers attached under a given device subtree. */
-    std::vector<server::SimServer*> ServersUnder(const std::string& device_name);
+    std::vector<server::SimServer*> ServersUnder(
+        const std::string& device_name) const
+    {
+        return layout_.ServersUnder(device_name);
+    }
 
     /** Servers of one service. */
     std::vector<server::SimServer*> ServersOf(workload::ServiceType service);
@@ -236,16 +121,19 @@ class Fleet
      * The scriptable scenario traffic curve shared by every server;
      * add breakpoints to drive load tests and surges.
      */
-    workload::PiecewiseTraffic& scenario() { return scenario_; }
+    workload::PiecewiseTraffic& scenario() { return layout_.scenario(); }
 
     /**
      * Multiplier applied by an external (global) load balancer on top
      * of the diurnal and scenario curves — the knob a cross-data-center
      * balancer turns when it shifts traffic between sites.
      */
-    void set_global_traffic_factor(double factor) { balancer_.set_factor(factor); }
+    void set_global_traffic_factor(double factor)
+    {
+        layout_.balancer().set_factor(factor);
+    }
 
-    double global_traffic_factor() const { return balancer_.factor(); }
+    double global_traffic_factor() const { return layout_.balancer().factor(); }
 
     /**
      * Current fleet-spec epoch: 0 at boot, bumped once per committed
@@ -283,7 +171,7 @@ class Fleet
     std::uint64_t reconfigs_applied() const { return spec_epoch_; }
 
     /** Total draw at the root right now. */
-    Watts TotalPower() { return root_->TotalPower(sim_.Now()); }
+    Watts TotalPower() { return root().TotalPower(sim_.Now()); }
 
     /** Breaker trips observed so far (outages). */
     std::size_t outage_count() const { return monitor_->trip_count(); }
@@ -303,8 +191,6 @@ class Fleet
     void Snapshot(Archive& ar) const;
 
   private:
-    void BuildServersFor(power::PowerDevice& rpp, Rng& rng, std::size_t* counter);
-
     void ValidateReconfig(const ReconfigTxn& txn) const;
     void ApplyReconfig(const ReconfigTxn& txn);
     void ApplyAddServers(const ReconfigOp& op);
@@ -326,16 +212,9 @@ class Fleet
         Fleet& fleet_;
     };
 
-    FleetSpec spec_;
+    FleetLayout layout_;
     sim::Simulation sim_;
     rpc::SimTransport transport_;
-    workload::DiurnalTraffic diurnal_;
-    workload::PiecewiseTraffic scenario_;
-    workload::ConstantTraffic balancer_{1.0};
-    workload::CompositeTraffic traffic_;
-    std::unique_ptr<power::PowerDevice> root_;
-    std::vector<std::unique_ptr<server::SimServer>> servers_;
-    std::vector<std::unique_ptr<power::FixedLoad>> switches_;
     std::unique_ptr<power::BreakerMonitor> monitor_;
     std::unique_ptr<core::Deployment> deployment_;
     std::vector<std::unique_ptr<power::BreakerTelemetry>> breaker_telemetry_;
@@ -345,14 +224,6 @@ class Fleet
     std::uint64_t spec_epoch_ = 0;
 
     ReconfigObserver reconfig_observer_;
-
-    /**
-     * Decommissioned subtrees are detached from the tree but kept
-     * alive: attached FixedLoads (and any breaker-telemetry samplers)
-     * still point into them, and keeping the objects dormant is
-     * cheaper and safer than chasing every reference.
-     */
-    std::vector<std::unique_ptr<power::PowerDevice>> retired_devices_;
 };
 
 }  // namespace dynamo::fleet

@@ -26,6 +26,56 @@ ShardSeed(std::uint64_t base, const std::string& label)
     return base ^ Fnv1a64(label);
 }
 
+/** One server of the synthetic scale fleet and its leaf-roster entry. */
+struct ScaleServer
+{
+    std::unique_ptr<server::SimServer> server;
+    core::AgentInfo info;
+};
+
+/**
+ * The scale fleet's recipe for server index `i` (the bench fleet's):
+ * service, generation, priority group and SLA floor cycle with `i`.
+ * Draws from `rng` in this order: GPU and sensorless (each only when
+ * its fraction is set, so pre-catalog seeds keep their exact streams),
+ * seed, base utilization. Spikes are off: a steady-state scale run.
+ */
+ScaleServer
+DrawScaleServer(const ShardedFleetConfig& config, std::size_t i,
+                std::string name, std::string endpoint, Rng& rng)
+{
+    static constexpr workload::ServiceType kServices[] = {
+        workload::ServiceType::kWeb, workload::ServiceType::kCache,
+        workload::ServiceType::kHadoop, workload::ServiceType::kDatabase};
+
+    server::SimServer::Config server_config;
+    server_config.name = std::move(name);
+    server_config.service = kServices[i % 4];
+    server_config.generation = (i % 10 < 7)
+                                   ? server::ServerGeneration::kHaswell2015
+                                   : server::ServerGeneration::kWestmere2011;
+    if (config.gpu_fraction > 0.0 && rng.Bernoulli(config.gpu_fraction)) {
+        server_config.generation = server::ServerGeneration::kGpuTrain2024;
+    }
+    if (config.sensorless_fraction > 0.0) {
+        server_config.has_sensor = !rng.Bernoulli(config.sensorless_fraction);
+    }
+    server_config.seed = rng.NextU64();
+    workload::LoadProcessParams params =
+        workload::LoadProcessParams::For(server_config.service);
+    params.base_util = rng.Uniform(0.35, 0.75);
+    params.spike_rate_per_hour = 0.0;
+
+    ScaleServer drawn;
+    drawn.info.endpoint = std::move(endpoint);
+    drawn.info.service = server_config.service;
+    drawn.info.priority_group = static_cast<int>(i % 3);
+    drawn.info.sla_min_cap = 70.0 + static_cast<double>(i % 3) * 15.0;
+    drawn.server =
+        std::make_unique<server::SimServer>(std::move(server_config), params);
+    return drawn;
+}
+
 }  // namespace
 
 ShardPlan
@@ -255,9 +305,6 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     // One global RNG sequence over global server order, so per-server
     // seeds depend only on the config (the bench fleet's recipe).
     Rng rng(config_.seed ^ (config_.n_servers * 0x9e3779b97f4a7c15ULL));
-    const workload::ServiceType services[] = {
-        workload::ServiceType::kWeb, workload::ServiceType::kCache,
-        workload::ServiceType::kHadoop, workload::ServiceType::kDatabase};
 
     leaf_alive_.assign(plan_.n_leaves, 1);
     leaf_parent_.reserve(plan_.n_leaves);
@@ -270,35 +317,18 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
         leaf_parent_.push_back(plan_.shard_of_leaf(l));
 
         const std::size_t leaf_first_server = shard.servers.size();
+        std::vector<core::AgentInfo> roster;
+        roster.reserve(last - first);
         for (std::size_t i = first; i < last; ++i) {
-            server::SimServer::Config server_config;
-            server_config.name = "srv" + std::to_string(i);
-            server_config.service = services[i % 4];
-            server_config.generation =
-                (i % 10 < 7) ? server::ServerGeneration::kHaswell2015
-                             : server::ServerGeneration::kWestmere2011;
-            // Conditional draws: a zero fraction consumes nothing, so
-            // pre-catalog seeds keep their exact per-server streams.
-            if (config_.gpu_fraction > 0.0 &&
-                rng.Bernoulli(config_.gpu_fraction)) {
-                server_config.generation =
-                    server::ServerGeneration::kGpuTrain2024;
-            }
-            if (config_.sensorless_fraction > 0.0) {
-                server_config.has_sensor =
-                    !rng.Bernoulli(config_.sensorless_fraction);
-            }
-            server_config.seed = rng.NextU64();
-            workload::LoadProcessParams params =
-                workload::LoadProcessParams::For(server_config.service);
-            params.base_util = rng.Uniform(0.35, 0.75);
-            params.spike_rate_per_hour = 0.0;  // steady-state scale run
-            shard.servers.push_back(std::make_unique<server::SimServer>(
-                std::move(server_config), params));
+            ScaleServer drawn =
+                DrawScaleServer(config_, i, "srv" + std::to_string(i),
+                                "agent:" + std::to_string(i), rng);
+            shard.servers.push_back(std::move(drawn.server));
             shard.agents.push_back(std::make_unique<core::DynamoAgent>(
                 shard.sim, shard.transport, *shard.servers.back(),
-                "agent:" + std::to_string(i)));
+                drawn.info.endpoint));
             leaf_agents_[l].push_back(shard.agents.size() - 1);
+            roster.push_back(std::move(drawn.info));
         }
 
         // Size the breaker just above the domain's initial draw (the
@@ -318,16 +348,7 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
         builder.Endpoint("ctl:rpp:" + std::to_string(l))
             .ForDevice(*shard.devices.back())
             .Policy(config_.policy);
-        for (std::size_t k = leaf_first_server; k < shard.servers.size();
-             ++k) {
-            const std::size_t i = first + (k - leaf_first_server);
-            core::AgentInfo info;
-            info.endpoint = shard.agents[k]->endpoint();
-            info.service = shard.servers[k]->service();
-            info.priority_group = static_cast<int>(i % 3);
-            info.sla_min_cap = 70.0 + static_cast<double>(i % 3) * 15.0;
-            builder.Agent(std::move(info));
-        }
+        for (core::AgentInfo& info : roster) builder.Agent(std::move(info));
         shard.leaves.push_back(builder.BuildLeaf());
         shard.leaves.back()->AttachEpoch(&spec_epoch_);
         shard.leaves.back()->Activate(static_cast<SimTime>((l * 37) % 3000));
@@ -790,46 +811,18 @@ ShardedFleet::ApplyAddServers(const ReconfigOp& op)
     // Epoch-keyed RNG: provisioning draws never perturb the boot-time
     // sequence, and repeated expansions stay distinct.
     Rng rng(config_.seed ^ (0x9e3779b97f4a7c15ULL * spec_epoch_));
-    const workload::ServiceType services[] = {
-        workload::ServiceType::kWeb, workload::ServiceType::kCache,
-        workload::ServiceType::kHadoop, workload::ServiceType::kDatabase};
-
     for (std::size_t i = 0; i < op.count; ++i) {
         const std::string name = "srv:" + op.target + ":e" +
                                  std::to_string(spec_epoch_) + "s" +
                                  std::to_string(i);
-        server::SimServer::Config server_config;
-        server_config.name = name;
-        server_config.service = services[i % 4];
-        server_config.generation =
-            (i % 10 < 7) ? server::ServerGeneration::kHaswell2015
-                         : server::ServerGeneration::kWestmere2011;
-        if (config_.gpu_fraction > 0.0 &&
-            rng.Bernoulli(config_.gpu_fraction)) {
-            server_config.generation = server::ServerGeneration::kGpuTrain2024;
-        }
-        if (config_.sensorless_fraction > 0.0) {
-            server_config.has_sensor =
-                !rng.Bernoulli(config_.sensorless_fraction);
-        }
-        server_config.seed = rng.NextU64();
-        workload::LoadProcessParams params =
-            workload::LoadProcessParams::For(server_config.service);
-        params.base_util = rng.Uniform(0.35, 0.75);
-        params.spike_rate_per_hour = 0.0;
-        shard.servers.push_back(std::make_unique<server::SimServer>(
-            std::move(server_config), params));
+        ScaleServer drawn =
+            DrawScaleServer(config_, i, name, "agent:" + name, rng);
+        shard.servers.push_back(std::move(drawn.server));
         shard.agents.push_back(std::make_unique<core::DynamoAgent>(
             shard.sim, shard.transport, *shard.servers.back(),
-            "agent:" + name));
+            drawn.info.endpoint));
         leaf_agents_[l].push_back(shard.agents.size() - 1);
-
-        core::AgentInfo info;
-        info.endpoint = shard.agents.back()->endpoint();
-        info.service = services[i % 4];
-        info.priority_group = static_cast<int>(i % 3);
-        info.sla_min_cap = 70.0 + static_cast<double>(i % 3) * 15.0;
-        lf.AddAgent(std::move(info));
+        lf.AddAgent(std::move(drawn.info));
     }
 }
 

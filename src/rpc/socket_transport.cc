@@ -414,7 +414,8 @@ SocketTransport::HandleReply(Connection& conn, const wire::Frame& frame,
 
 bool
 SocketTransport::ReadAndDispatch(Connection& conn,
-                                 std::vector<Completion>& done)
+                                 std::vector<Completion>& done,
+                                 std::size_t& served)
 {
     char buffer[65536];
     for (;;) {
@@ -442,6 +443,7 @@ SocketTransport::ReadAndDispatch(Connection& conn,
         }
         if (frame.kind == wire::FrameKind::kRequest) {
             ServeRequest(conn, frame);
+            ++served;
         } else {
             HandleReply(conn, frame, done);
         }
@@ -623,7 +625,7 @@ SocketTransport::PollOnce(int budget_ms)
         }
 
         if ((fds[pi].revents & POLLIN) != 0) {
-            if (!ReadAndDispatch(conn, done)) {
+            if (!ReadAndDispatch(conn, done, dispatched)) {
                 FailConnection(ci, done);
                 continue;
             }

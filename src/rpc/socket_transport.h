@@ -177,9 +177,11 @@ class SocketTransport final : public Transport
     /** Queue an encoded frame on a connection. */
     void QueueFrame(Connection& conn, const wire::Frame& frame);
 
-    /** Drain readable bytes; dispatch complete frames. Returns false
-     *  when the connection died (caller must FailConnection). */
-    bool ReadAndDispatch(Connection& conn, std::vector<Completion>& done);
+    /** Drain readable bytes; dispatch complete frames, adding each
+     *  request served to `served`. Returns false when the connection
+     *  died (caller must FailConnection). */
+    bool ReadAndDispatch(Connection& conn, std::vector<Completion>& done,
+                         std::size_t& served);
 
     /** Serve one inbound request frame (invoke handler, queue reply). */
     void ServeRequest(Connection& conn, const wire::Frame& frame);

@@ -209,4 +209,18 @@ SimServer::Snapshot(dynamo::Archive& ar) const
     ar.U64(rng_.draws());
 }
 
+std::vector<SimServer*>
+ServersUnder(power::PowerDevice& device)
+{
+    std::vector<SimServer*> servers;
+    device.ForEach([&](power::PowerDevice& d) {
+        for (power::PowerLoad* load : d.loads()) {
+            if (auto* srv = dynamic_cast<SimServer*>(load)) {
+                servers.push_back(srv);
+            }
+        }
+    });
+    return servers;
+}
+
 }  // namespace dynamo::server

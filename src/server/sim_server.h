@@ -12,6 +12,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -210,6 +211,9 @@ class SimServer : public power::PowerLoad
     double demanded_work_ = 0.0;
     double delivered_work_ = 0.0;
 };
+
+/** Every SimServer attached anywhere in `device`'s subtree, pre-order. */
+std::vector<SimServer*> ServersUnder(power::PowerDevice& device);
 
 }  // namespace dynamo::server
 
