@@ -13,10 +13,11 @@
  *     pointer-dependent ordering), so state equality can be decided by
  *     comparing bytes or 64-bit digests.
  *
- * `Archive` is the write side: an append-only byte sink that also
- * maintains a running FNV-1a digest, so callers can either keep the
- * full bytes (checkpoints, journals) or just the digest (cheap
- * divergence probes). `ArchiveReader` is the read side; it throws
+ * `Archive` is the write side: an append-only byte sink whose FNV-1a
+ * digest is computed on demand, so callers can keep the full bytes
+ * (checkpoints, journals), just the digest (cheap divergence probes),
+ * or both, and pay for hashing only when they ask for the digest.
+ * `ArchiveReader` is the read side; it throws
  * `std::runtime_error` on truncated input rather than returning
  * garbage, because a corrupt journal must fail loudly.
  *
@@ -33,6 +34,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace dynamo {
 
@@ -40,15 +42,20 @@ namespace dynamo {
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-/** FNV-1a over a byte string; used for stable name→seed derivation. */
-constexpr std::uint64_t Fnv1a64(std::string_view bytes)
+/** Continue an FNV-1a 64 hash `h` over `bytes`. */
+constexpr std::uint64_t Fnv1a64Extend(std::uint64_t h, std::string_view bytes)
 {
-    std::uint64_t h = kFnvOffset;
     for (const char c : bytes) {
         h ^= static_cast<std::uint8_t>(c);
         h *= kFnvPrime;
     }
     return h;
+}
+
+/** FNV-1a over a byte string; used for stable name→seed derivation. */
+constexpr std::uint64_t Fnv1a64(std::string_view bytes)
+{
+    return Fnv1a64Extend(kFnvOffset, bytes);
 }
 
 /**
@@ -75,10 +82,35 @@ class HashAccumulator
     std::uint64_t h_ = kFnvOffset;
 };
 
-/** Append-only little-endian byte sink with a running FNV-1a digest. */
+/**
+ * Append-only little-endian byte sink with an FNV-1a digest.
+ *
+ * Writes only append bytes. `digest()` folds in the bytes written since
+ * its last call and caches the running hash, so each byte is hashed at
+ * most once however often the digest is asked for, and never when it
+ * is not. Because the cache is updated from a const member, concurrent
+ * `digest()` calls on one archive must be serialized by the caller.
+ */
 class Archive
 {
   public:
+    Archive() = default;
+    Archive(const Archive&) = default;
+    Archive& operator=(const Archive&) = default;
+
+    /** A moved-from archive is empty, as if freshly constructed. */
+    Archive(Archive&& other) noexcept { *this = std::move(other); }
+
+    Archive& operator=(Archive&& other) noexcept
+    {
+        if (this != &other) {
+            bytes_ = std::exchange(other.bytes_, std::string());
+            hashed_ = std::exchange(other.hashed_, 0);
+            digest_ = std::exchange(other.digest_, kFnvOffset);
+        }
+        return *this;
+    }
+
     void U8(std::uint8_t v) { Put(&v, 1); }
 
     void U32(std::uint32_t v)
@@ -110,8 +142,7 @@ class Archive
     }
 
     /**
-     * Append another archive's bytes verbatim (no length prefix),
-     * folding them into this archive's digest byte-for-byte. The
+     * Append another archive's bytes verbatim (no length prefix). The
      * result — bytes and digest — is identical to having written
      * `other`'s fields into this archive directly, which is what lets
      * per-shard snapshot archives be filled in parallel and then
@@ -122,26 +153,45 @@ class Archive
         Put(other.bytes_.data(), other.bytes_.size());
     }
 
+    /** Reserve capacity for `n` bytes in total (merges of known size). */
+    void Reserve(std::size_t n) { bytes_.reserve(n); }
+
     const std::string& bytes() const { return bytes_; }
 
-    /** Digest of everything appended so far. */
-    std::uint64_t digest() const { return digest_; }
+    /**
+     * Move the bytes out without copying. The archive is left empty, as
+     * if freshly constructed (size 0, digest of no bytes); take the
+     * digest first if it is wanted.
+     */
+    std::string TakeBytes()
+    {
+        hashed_ = 0;
+        digest_ = kFnvOffset;
+        return std::exchange(bytes_, std::string());
+    }
+
+    /** FNV-1a 64 digest of everything appended so far. */
+    std::uint64_t digest() const
+    {
+        digest_ = Fnv1a64Extend(
+            digest_, std::string_view(bytes_).substr(hashed_));
+        hashed_ = bytes_.size();
+        return digest_;
+    }
 
     std::size_t size() const { return bytes_.size(); }
 
   private:
     void Put(const void* data, std::size_t n)
     {
-        const auto* p = static_cast<const std::uint8_t*>(data);
-        bytes_.append(reinterpret_cast<const char*>(p), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            digest_ ^= p[i];
-            digest_ *= kFnvPrime;
-        }
+        bytes_.append(static_cast<const char*>(data), n);
     }
 
     std::string bytes_;
-    std::uint64_t digest_ = kFnvOffset;
+
+    /** Prefix of `bytes_` already folded into `digest_`. */
+    mutable std::size_t hashed_ = 0;
+    mutable std::uint64_t digest_ = kFnvOffset;
 };
 
 /** Reader over Archive bytes; throws std::runtime_error on truncation. */

@@ -636,7 +636,8 @@ ShardedFleet::RecordCheckpoint(SimTime barrier_time)
     // them into the master archive in canonical order (shards by
     // index, control last). Archive::Append is byte- and digest-exact,
     // so the checkpoint is identical to the old serial sweep — only
-    // the wall time is divided by the thread count.
+    // the wall time is divided by the thread count. The parts are
+    // never hashed; the one serial FNV pass is ar.digest() below.
     const std::size_t n = shards_.size();
     std::vector<Archive> parts(n + 1);
     const sim::WorkerPool::StageFn fill = [&](std::size_t i) {
@@ -647,13 +648,16 @@ ShardedFleet::RecordCheckpoint(SimTime barrier_time)
         }
     };
     pool_->RunStage(fill, n + 1);
+    std::size_t total = ar.size();
+    for (const Archive& part : parts) total += part.size();
+    ar.Reserve(total);
     for (const Archive& part : parts) ar.Append(part);
 
     replay::CheckpointRecord record;
     record.cycle = journal_.cycles.empty() ? 0 : journal_.cycles.size() - 1;
     record.time = barrier_time;
     record.digest = ar.digest();
-    record.state = ar.bytes();
+    record.state = ar.TakeBytes();
     journal_.checkpoints.push_back(std::move(record));
 }
 

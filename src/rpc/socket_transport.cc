@@ -186,20 +186,50 @@ SocketTransport::AddRoute(const std::string& endpoint,
                           const SocketAddress& address)
 {
     routes_[endpoint] = address;
+    InvalidateRoute(endpoint);
 }
 
 void
 SocketTransport::RemoveRoute(const std::string& endpoint)
 {
+    InvalidateRoute(endpoint);
     routes_.erase(endpoint);
+}
+
+void
+SocketTransport::Deregister(EndpointId id)
+{
+    if (id < route_cache_.size()) route_cache_[id] = CachedRoute{};
+    Transport::Deregister(id);
+}
+
+void
+SocketTransport::InvalidateRoute(const std::string& endpoint)
+{
+    const EndpointId id = endpoints_.Find(endpoint);
+    if (id != kInvalidEndpoint && id < route_cache_.size()) {
+        route_cache_[id] = CachedRoute{};
+    }
+}
+
+const SocketAddress*
+SocketTransport::RouteFor(EndpointId id)
+{
+    if (id >= route_cache_.size()) route_cache_.resize(endpoints_.size());
+    CachedRoute& cached = route_cache_[id];
+    if (!cached.resolved) {
+        const auto it = routes_.find(endpoints_.Name(id));
+        cached.address = it == routes_.end() ? nullptr : &it->second;
+        cached.resolved = true;
+    }
+    return cached.address;
 }
 
 SocketTransport::Connection*
 SocketTransport::ConnectionFor(const SocketAddress& address)
 {
     for (Connection& conn : connections_) {
-        if (conn.fd >= 0 && !conn.inbound &&
-            conn.peer.ToString() == address.ToString()) {
+        if (conn.fd >= 0 && !conn.inbound && conn.peer == address) {
             return &conn;
         }
     }
@@ -220,6 +250,7 @@ SocketTransport::ConnectionFor(const SocketAddress& address)
     }
     Connection conn;
     conn.fd = fd;
+    conn.serial = next_conn_serial_++;
     conn.peer = address;
     const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&ss), len);
     if (rc < 0 && errno != EINPROGRESS) {
@@ -227,20 +258,21 @@ SocketTransport::ConnectionFor(const SocketAddress& address)
         // keep the connection object so the caller's pending entry has
         // somewhere to live; the next poll pass fails it cleanly.
         conn.connecting = true;
-        conn.connect_deadline = std::chrono::steady_clock::now();
+        conn.connect_deadline = Clock::now();
     } else if (rc < 0) {
         conn.connecting = true;
         conn.connect_deadline =
-            std::chrono::steady_clock::now() + options_.connect_timeout;
+            Clock::now() + options_.connect_timeout;
     }
     connections_.push_back(std::move(conn));
     return &connections_.back();
 }
 
 void
-SocketTransport::QueueFrame(Connection& conn, const wire::Frame& frame)
+SocketTransport::QueueFrame(Connection& conn, const wire::FrameHeader& header,
+                            std::string_view target, std::string_view payload)
 {
-    conn.write_buffer += wire::EncodeFrame(frame);
+    wire::AppendFrame(conn.write_buffer, header, target, payload);
 }
 
 void
@@ -258,10 +290,8 @@ SocketTransport::Call(EndpointId id, Payload request, ResponseCallback on_ok,
         return;
     }
 
-    const std::string& name = endpoints_.Name(id);
-    const auto route = routes_.find(name);
-    Connection* conn =
-        route == routes_.end() ? nullptr : ConnectionFor(route->second);
+    const SocketAddress* route = RouteFor(id);
+    Connection* conn = route == nullptr ? nullptr : ConnectionFor(*route);
     if (conn == nullptr) {
         // No route / no socket: prompt failure at the next poll pass
         // (never re-entrant from Call).
@@ -271,22 +301,17 @@ SocketTransport::Call(EndpointId id, Payload request, ResponseCallback on_ok,
         return;
     }
 
-    wire::Frame frame;
-    frame.kind = wire::FrameKind::kRequest;
-    frame.type = wire::TypeOf(request);
-    frame.epoch = options_.epoch;
-    frame.call_id = next_call_id_++;
-    frame.target = name;
-    frame.payload = wire::EncodeBody(request);
-    QueueFrame(*conn, frame);
-
-    PendingCall pending;
-    pending.call_id = frame.call_id;
-    pending.on_ok = std::move(on_ok);
-    pending.on_err = std::move(on_err);
-    pending.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(timeout_ms);
-    conn->pending.push_back(std::move(pending));
+    const std::uint64_t call_id = pending_base_ + pending_.size();
+    QueueFrame(*conn,
+               wire::FrameHeader{wire::FrameKind::kRequest,
+                                 wire::TypeOf(request), options_.epoch,
+                                 call_id},
+               endpoints_.Name(id), wire::EncodeBody(request));
+    pending_.push_back(
+        PendingCall{conn->serial, std::move(on_ok), std::move(on_err)});
+    ++pending_live_;
+    deadlines_.push(Deadline{
+        Clock::now() + std::chrono::milliseconds(timeout_ms), call_id});
 }
 
 std::size_t
@@ -302,22 +327,19 @@ SocketTransport::CallBatch(std::vector<BatchItem> batch)
                                              nullptr, true});
             continue;
         }
-        const std::string& name = endpoints_.Name(item.target);
-        const auto route = routes_.find(name);
-        Connection* conn =
-            route == routes_.end() ? nullptr : ConnectionFor(route->second);
+        const SocketAddress* route = RouteFor(item.target);
+        Connection* conn = route == nullptr ? nullptr : ConnectionFor(*route);
         if (conn == nullptr) {
             CountError();
             continue;
         }
-        wire::Frame frame;
-        frame.kind = wire::FrameKind::kRequest;
-        frame.type = wire::TypeOf(item.payload);
-        frame.epoch = options_.epoch;
-        frame.call_id = 0;  // fire-and-forget: peer skips the response
-        frame.target = name;
-        frame.payload = wire::EncodeBody(item.payload);
-        QueueFrame(*conn, frame);
+        // call_id 0: fire-and-forget, the peer skips the response.
+        QueueFrame(*conn,
+                   wire::FrameHeader{wire::FrameKind::kRequest,
+                                     wire::TypeOf(item.payload),
+                                     options_.epoch, 0},
+                   endpoints_.Name(item.target),
+                   wire::EncodeBody(item.payload));
         // Best-effort delivery counts as ok at queue time; a torn
         // connection later cannot retroactively fail a forgotten call.
         CountOk();
@@ -328,27 +350,52 @@ SocketTransport::CallBatch(std::vector<BatchItem> batch)
 std::size_t
 SocketTransport::pending_calls() const
 {
-    std::size_t n = local_calls_.size();
-    for (const Connection& conn : connections_) n += conn.pending.size();
-    return n;
+    return local_calls_.size() + pending_live_;
+}
+
+SocketTransport::PendingCall*
+SocketTransport::FindPending(std::uint64_t call_id)
+{
+    if (call_id < pending_base_ || call_id - pending_base_ >= pending_.size()) {
+        return nullptr;
+    }
+    PendingCall& slot = pending_[call_id - pending_base_];
+    return slot.conn == 0 ? nullptr : &slot;
+}
+
+SocketTransport::Completion
+SocketTransport::TakePending(PendingCall& slot)
+{
+    Completion completion;
+    completion.on_ok = std::move(slot.on_ok);
+    completion.on_err = std::move(slot.on_err);
+    slot = PendingCall{};
+    --pending_live_;
+    return completion;
+}
+
+void
+SocketTransport::TrimPending()
+{
+    while (!pending_.empty() && pending_.front().conn == 0) {
+        pending_.pop_front();
+        ++pending_base_;
+    }
 }
 
 void
 SocketTransport::ServeRequest(Connection& conn, const wire::Frame& frame)
 {
-    wire::Frame reply;
-    reply.epoch = options_.epoch;
-    reply.call_id = frame.call_id;
+    wire::FrameHeader error{wire::FrameKind::kError, wire::MessageType::kNone,
+                            options_.epoch, frame.call_id};
 
     const EndpointId id = endpoints_.Find(frame.target);
     const RequestHandler* handler =
         id == kInvalidEndpoint ? nullptr : HandlerFor(id);
     if (handler == nullptr) {
         if (frame.call_id == 0) return;  // fire-and-forget, nothing to say
-        reply.kind = wire::FrameKind::kError;
-        reply.target = kConnectionFailed;  // same reason an unregistered
-                                           // SimTransport endpoint produces
-        QueueFrame(conn, reply);
+        // Same reason an unregistered SimTransport endpoint produces.
+        QueueFrame(conn, error, kConnectionFailed, {});
         return;
     }
 
@@ -357,41 +404,35 @@ SocketTransport::ServeRequest(Connection& conn, const wire::Frame& frame)
         request = wire::DecodeBody(frame.type, frame.payload);
     } catch (const wire::WireError& e) {
         if (frame.call_id == 0) return;
-        reply.kind = wire::FrameKind::kError;
-        reply.target = e.what();
-        QueueFrame(conn, reply);
+        QueueFrame(conn, error, e.what(), {});
         return;
     }
 
     Payload response = (*handler)(request);
     if (frame.call_id == 0) return;
+    wire::FrameHeader reply{wire::FrameKind::kResponse,
+                            wire::MessageType::kNone, options_.epoch,
+                            frame.call_id};
+    std::string payload;
     try {
-        reply.kind = wire::FrameKind::kResponse;
         reply.type = wire::TypeOf(response);
-        reply.payload = wire::EncodeBody(response);
+        payload = wire::EncodeBody(response);
     } catch (const wire::WireError& e) {
-        reply.kind = wire::FrameKind::kError;
-        reply.target = e.what();
-        reply.type = wire::MessageType::kNone;
-        reply.payload.clear();
+        QueueFrame(conn, error, e.what(), {});
+        return;
     }
-    QueueFrame(conn, reply);
+    QueueFrame(conn, reply, {}, payload);
 }
 
 void
 SocketTransport::HandleReply(Connection& conn, const wire::Frame& frame,
                              std::vector<Completion>& done)
 {
-    const auto it = std::find_if(conn.pending.begin(), conn.pending.end(),
-                                 [&](const PendingCall& p) {
-                                     return p.call_id == frame.call_id;
-                                 });
-    if (it == conn.pending.end()) return;  // raced its own timeout; drop
+    PendingCall* slot = FindPending(frame.call_id);
+    // Raced its own timeout, or not a call sent on this connection: drop.
+    if (slot == nullptr || slot->conn != conn.serial) return;
 
-    Completion completion;
-    completion.on_ok = std::move(it->on_ok);
-    completion.on_err = std::move(it->on_err);
-    conn.pending.erase(it);
+    Completion completion = TakePending(*slot);
 
     if (frame.kind == wire::FrameKind::kError) {
         completion.ok = false;
@@ -458,16 +499,14 @@ SocketTransport::FailConnection(std::size_t index,
     Connection& conn = connections_[index];
     if (conn.fd >= 0) ::close(conn.fd);
     conn.fd = -1;
-    for (PendingCall& pending : conn.pending) {
-        Completion completion;
-        completion.ok = false;
+    // A rare event, so a scan of the table beats per-connection
+    // bookkeeping on every call; calls fail in issue order.
+    for (PendingCall& slot : pending_) {
+        if (slot.conn != conn.serial) continue;
+        Completion completion = TakePending(slot);
         completion.reason = kConnectionFailed;
-        completion.timed_out = false;
-        completion.on_ok = std::move(pending.on_ok);
-        completion.on_err = std::move(pending.on_err);
         done.push_back(std::move(completion));
     }
-    conn.pending.clear();
 }
 
 std::size_t
@@ -558,24 +597,25 @@ SocketTransport::PollOnce(int budget_ms)
     // 3. Don't sleep past the earliest deadline (or at all, if
     // completions are already captured).
     int timeout_ms = done.empty() ? budget_ms : 0;
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
+    auto consider = [&](Clock::time_point deadline) {
+        const auto delta =
+            std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                                  now)
+                .count();
+        const int clamped = delta <= 0 ? 0 : static_cast<int>(
+                                                 std::min<long long>(
+                                                     delta, budget_ms));
+        timeout_ms = std::min(timeout_ms, clamped);
+    };
     for (const Connection& conn : connections_) {
-        if (conn.fd < 0) continue;
-        auto consider = [&](std::chrono::steady_clock::time_point deadline) {
-            const auto delta =
-                std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                      now)
-                    .count();
-            const int clamped = delta <= 0 ? 0 : static_cast<int>(
-                                                     std::min<long long>(
-                                                         delta, budget_ms));
-            timeout_ms = std::min(timeout_ms, clamped);
-        };
-        if (conn.connecting) consider(conn.connect_deadline);
-        for (const PendingCall& pending : conn.pending) {
-            consider(pending.deadline);
-        }
+        if (conn.fd >= 0 && conn.connecting) consider(conn.connect_deadline);
     }
+    while (!deadlines_.empty() &&
+           FindPending(deadlines_.top().call_id) == nullptr) {
+        deadlines_.pop();
+    }
+    if (!deadlines_.empty()) consider(deadlines_.top().at);
 
     const int rc = ::poll(fds.data(), fds.size(),
                           fds.empty() ? std::min(timeout_ms, budget_ms)
@@ -593,6 +633,7 @@ SocketTransport::PollOnce(int budget_ms)
             SetNonBlocking(fd);
             Connection conn;
             conn.fd = fd;
+            conn.serial = next_conn_serial_++;
             conn.inbound = true;
             connections_.push_back(std::move(conn));
         }
@@ -633,8 +674,10 @@ SocketTransport::PollOnce(int budget_ms)
 
         if (!conn.connecting && !conn.write_buffer.empty() &&
             (fds[pi].revents & POLLOUT) != 0) {
-            const ssize_t n = ::write(conn.fd, conn.write_buffer.data(),
-                                      conn.write_buffer.size());
+            // MSG_NOSIGNAL: a peer that vanished is an EPIPE to fail
+            // the connection on, not a SIGPIPE that kills the process.
+            const ssize_t n = ::send(conn.fd, conn.write_buffer.data(),
+                                     conn.write_buffer.size(), MSG_NOSIGNAL);
             if (n > 0) {
                 conn.write_buffer.erase(0, static_cast<std::size_t>(n));
             } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
@@ -646,37 +689,31 @@ SocketTransport::PollOnce(int budget_ms)
     }
 
     // 6. Expire deadlines (connects and calls).
-    const auto after = std::chrono::steady_clock::now();
+    // A connect that timed out fails its calls as "connection failed"
+    // before any of them can expire as "timeout".
+    const auto after = Clock::now();
     for (std::size_t i = 0; i < connections_.size(); ++i) {
-        Connection& conn = connections_[i];
-        if (conn.fd < 0) continue;
-        if (conn.connecting && after >= conn.connect_deadline) {
+        const Connection& conn = connections_[i];
+        if (conn.fd >= 0 && conn.connecting && after >= conn.connect_deadline) {
             FailConnection(i, done);
-            continue;
-        }
-        for (std::size_t p = 0; p < conn.pending.size();) {
-            if (after >= conn.pending[p].deadline) {
-                Completion completion;
-                completion.ok = false;
-                completion.reason = kTimeout;
-                completion.timed_out = true;
-                completion.on_ok = std::move(conn.pending[p].on_ok);
-                completion.on_err = std::move(conn.pending[p].on_err);
-                done.push_back(std::move(completion));
-                conn.pending.erase(conn.pending.begin() +
-                                   static_cast<std::ptrdiff_t>(p));
-            } else {
-                ++p;
-            }
         }
     }
+    while (!deadlines_.empty() && deadlines_.top().at <= after) {
+        PendingCall* slot = FindPending(deadlines_.top().call_id);
+        deadlines_.pop();
+        if (slot == nullptr) continue;  // finished before its deadline
+        Completion completion = TakePending(*slot);
+        completion.reason = kTimeout;
+        completion.timed_out = true;
+        done.push_back(std::move(completion));
+    }
+    TrimPending();
 
-    // 7. Sweep closed connections (safe now: no iteration in flight).
+    // 7. Sweep closed connections (safe now: no iteration in flight;
+    // FailConnection already ended their calls).
     connections_.erase(
         std::remove_if(connections_.begin(), connections_.end(),
-                       [](const Connection& conn) {
-                           return conn.fd < 0 && conn.pending.empty();
-                       }),
+                       [](const Connection& conn) { return conn.fd < 0; }),
         connections_.end());
 
     // 8. Fire captured completions last, so callbacks (which may issue

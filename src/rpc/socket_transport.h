@@ -42,8 +42,11 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
+#include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rpc/transport.h"
@@ -70,6 +73,8 @@ struct SocketAddress
 
     /** Canonical text form (inverse of Parse). */
     std::string ToString() const;
+
+    bool operator==(const SocketAddress&) const = default;
 
     bool operator<(const SocketAddress& o) const
     {
@@ -138,25 +143,53 @@ class SocketTransport final : public Transport
     /** Update the epoch stamped into outgoing frames. */
     void set_epoch(std::uint64_t epoch) { options_.epoch = epoch; }
 
+    /** Retire an endpoint and drop its cached route (its id may be
+     *  recycled for another name). */
+    void Deregister(EndpointId id) override;
+    using Transport::Deregister;
+
   private:
+    using Clock = std::chrono::steady_clock;
+
+    /** One slot of the pending-call table; `conn` 0 marks a finished
+     *  call (a tombstone until it reaches the front of the table). */
     struct PendingCall
     {
-        std::uint64_t call_id = 0;
+        std::uint64_t conn = 0;    // Connection::serial it was sent on
         ResponseCallback on_ok;
         ErrorCallback on_err;
-        std::chrono::steady_clock::time_point deadline;
+    };
+
+    /** A call's deadline; stale once the call has finished. */
+    struct Deadline
+    {
+        Clock::time_point at;
+        std::uint64_t call_id = 0;
+
+        bool operator>(const Deadline& o) const
+        {
+            return at != o.at ? at > o.at : call_id > o.call_id;
+        }
     };
 
     struct Connection
     {
         int fd = -1;
+        std::uint64_t serial = 0;  // unique per transport, never reused
         bool connecting = false;   // nonblocking connect in flight
         bool inbound = false;      // accepted, not dialed
         SocketAddress peer;        // dial target (outbound only)
         wire::FrameReader reader;
         std::string write_buffer;
-        std::vector<PendingCall> pending;
-        std::chrono::steady_clock::time_point connect_deadline;
+        Clock::time_point connect_deadline;
+    };
+
+    /** A route lookup cached per EndpointId; `address` points into
+     *  routes_ (map nodes are stable until erased). */
+    struct CachedRoute
+    {
+        bool resolved = false;
+        const SocketAddress* address = nullptr;  // null: no route
     };
 
     /** A completion captured during a poll pass; fired at the end of
@@ -174,8 +207,26 @@ class SocketTransport final : public Transport
     /** Find or dial the connection for a peer address. */
     Connection* ConnectionFor(const SocketAddress& address);
 
-    /** Queue an encoded frame on a connection. */
-    void QueueFrame(Connection& conn, const wire::Frame& frame);
+    /** The route for `id` (nullptr: none), resolved once per id. */
+    const SocketAddress* RouteFor(EndpointId id);
+
+    /** Forget the cached route of the endpoint named `endpoint`. */
+    void InvalidateRoute(const std::string& endpoint);
+
+    /** Encode a frame straight into a connection's write buffer. */
+    void QueueFrame(Connection& conn, const wire::FrameHeader& header,
+                    std::string_view target, std::string_view payload);
+
+    /** The live pending call `call_id`, or nullptr. */
+    PendingCall* FindPending(std::uint64_t call_id);
+
+    /** Finish a live pending call: move its callbacks into a failed
+     *  Completion (the caller fills in the outcome) and tombstone its
+     *  slot. */
+    Completion TakePending(PendingCall& slot);
+
+    /** Drop finished slots from the front of the pending table. */
+    void TrimPending();
 
     /** Drain readable bytes; dispatch complete frames, adding each
      *  request served to `served`. Returns false when the connection
@@ -204,8 +255,27 @@ class SocketTransport final : public Transport
      *  added before the endpoint is ever interned by a call). */
     std::map<std::string, SocketAddress> routes_;
 
+    /** routes_ looked up once per EndpointId, indexed like handlers_. */
+    std::vector<CachedRoute> route_cache_;
+
     std::vector<Connection> connections_;
-    std::uint64_t next_call_id_ = 1;
+    std::uint64_t next_conn_serial_ = 1;
+
+    /**
+     * Calls awaiting a reply, indexed by call id: slot i holds call id
+     * pending_base_ + i, so the next call id is pending_base_ +
+     * pending_.size() and a reply finds its call in O(1). Finished
+     * slots stay as tombstones until they reach the front.
+     */
+    std::deque<PendingCall> pending_;
+    std::uint64_t pending_base_ = 1;
+    std::size_t pending_live_ = 0;
+
+    /** Min-heap of call deadlines; entries of finished calls are
+     *  skipped when they surface. */
+    std::priority_queue<Deadline, std::vector<Deadline>,
+                        std::greater<Deadline>>
+        deadlines_;
 
     /** Calls to locally registered endpoints, served next PollOnce. */
     struct LocalCall

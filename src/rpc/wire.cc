@@ -1,5 +1,6 @@
 #include "rpc/wire.h"
 
+#include <cstring>
 #include <utility>
 
 #include "common/archive.h"
@@ -228,7 +229,7 @@ EncodeBody(const std::any& message)
         EncodeStatusResult(ar, std::any_cast<const api::StatusResult&>(message));
         break;
     }
-    return ar.bytes();
+    return ar.TakeBytes();
 }
 
 std::any
@@ -293,33 +294,57 @@ DecodeBody(MessageType type, std::string_view body)
     return message;
 }
 
+namespace {
+
+/** Write `v`'s low `width` bytes at `p`, little-endian; returns the end. */
+char* PutLe(char* p, std::uint64_t v, int width)
+{
+    for (int i = 0; i < width; ++i) {
+        *p++ = static_cast<char>((v >> (8 * i)) & 0xffu);
+    }
+    return p;
+}
+
+char* PutBytes(char* p, std::string_view bytes)
+{
+    p = PutLe(p, bytes.size(), 8);
+    if (!bytes.empty()) std::memcpy(p, bytes.data(), bytes.size());
+    return p + bytes.size();
+}
+
+}  // namespace
+
+void
+AppendFrame(std::string& out, const FrameHeader& header,
+            std::string_view target, std::string_view payload)
+{
+    const std::size_t start = out.size();
+    const std::size_t total =
+        kFrameFixedHeaderBytes + 8 + target.size() + 8 + payload.size() + 8;
+    out.resize(start + total);
+    char* const frame = out.data() + start;
+    char* p = frame;
+    p = PutLe(p, kWireMagic, 4);
+    p = PutLe(p, total, 4);
+    p = PutLe(p, kWireVersion, 4);
+    p = PutLe(p, static_cast<std::uint8_t>(header.type), 1);
+    p = PutLe(p, static_cast<std::uint8_t>(header.kind), 1);
+    p = PutLe(p, header.epoch, 8);
+    p = PutLe(p, header.call_id, 8);
+    p = PutBytes(p, target);
+    p = PutBytes(p, payload);
+
+    // Digest covers everything before it, length field included.
+    PutLe(p, Fnv1a64(std::string_view(frame, total - 8)), 8);
+}
+
 std::string
 EncodeFrame(const Frame& frame)
 {
-    // Header + variable sections first; the length field at offset 4
-    // is patched once the total (body + 8-byte digest) is known.
-    Archive ar;
-    ar.U32(kWireMagic);
-    ar.U32(0);  // frame_len placeholder
-    ar.U32(kWireVersion);
-    ar.U8(static_cast<std::uint8_t>(frame.type));
-    ar.U8(static_cast<std::uint8_t>(frame.kind));
-    ar.U64(frame.epoch);
-    ar.U64(frame.call_id);
-    ar.Str(frame.target);
-    ar.Str(frame.payload);
-
-    std::string bytes = ar.bytes();
-    const std::uint32_t total = static_cast<std::uint32_t>(bytes.size() + 8);
-    for (int i = 0; i < 4; ++i) {
-        bytes[4 + i] = static_cast<char>((total >> (8 * i)) & 0xffu);
-    }
-
-    // Digest covers everything before it, length field included.
-    const std::uint64_t digest = Fnv1a64(bytes);
-    for (int i = 0; i < 8; ++i) {
-        bytes.push_back(static_cast<char>((digest >> (8 * i)) & 0xffu));
-    }
+    std::string bytes;
+    AppendFrame(bytes,
+                FrameHeader{frame.kind, frame.type, frame.epoch, frame.call_id},
+                frame.target, frame.payload);
     return bytes;
 }
 
@@ -405,11 +430,19 @@ FrameReader::Feed(std::string_view bytes)
     CheckHeader();
 }
 
+std::uint32_t
+FrameReader::BufferedFrameLength() const
+{
+    ArchiveReader r(std::string_view(buffer_).substr(head_, 8));
+    r.U32();  // magic, validated by CheckHeader
+    return r.U32();
+}
+
 void
 FrameReader::CheckHeader()
 {
-    if (buffer_.size() < 8) return;
-    ArchiveReader r(buffer_);
+    if (buffer_.size() - head_ < 8) return;
+    ArchiveReader r(std::string_view(buffer_).substr(head_, 8));
     const std::uint32_t magic = r.U32();
     if (magic != kWireMagic) {
         poisoned_ = true;
@@ -430,10 +463,8 @@ FrameReader::CheckHeader()
 bool
 FrameReader::HasFrame() const
 {
-    if (poisoned_ || buffer_.size() < 8) return false;
-    ArchiveReader r(buffer_);
-    r.U32();  // magic, validated by CheckHeader
-    return buffer_.size() >= r.U32();
+    if (poisoned_ || buffer_.size() - head_ < 8) return false;
+    return buffer_.size() - head_ >= BufferedFrameLength();
 }
 
 Frame
@@ -442,21 +473,28 @@ FrameReader::Next()
     if (!HasFrame()) {
         throw WireError("Next() without a complete frame", consumed_);
     }
-    ArchiveReader r(buffer_);
-    r.U32();
-    const std::uint32_t frame_len = r.U32();
-    const std::string_view frame_bytes =
-        std::string_view(buffer_).substr(0, frame_len);
+    const std::uint32_t frame_len = BufferedFrameLength();
     Frame frame;
     try {
-        frame = DecodeFrame(frame_bytes);
+        frame = DecodeFrame(std::string_view(buffer_).substr(head_, frame_len));
     } catch (const WireError&) {
         poisoned_ = true;
         throw;
     }
-    buffer_.erase(0, frame_len);
+    head_ += frame_len;
     consumed_ += frame_len;
-    if (!buffer_.empty()) CheckHeader();
+
+    // Consume by offset; move the unread tail to the front only once
+    // the consumed prefix is at least half the buffer, so each byte is
+    // moved at most once on average and a batch of frames costs O(n).
+    if (head_ == buffer_.size()) {
+        buffer_.clear();
+        head_ = 0;
+    } else if (2 * head_ >= buffer_.size()) {
+        buffer_.erase(0, head_);
+        head_ = 0;
+    }
+    CheckHeader();
     return frame;
 }
 

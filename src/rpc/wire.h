@@ -163,6 +163,24 @@ std::any DecodeBody(MessageType type, std::string_view body);
 /** Serialize a frame, including header, lengths, and digest. */
 std::string EncodeFrame(const Frame& frame);
 
+/** The fixed-width fields of a frame (everything but target and payload). */
+struct FrameHeader
+{
+    FrameKind kind = FrameKind::kRequest;
+    MessageType type = MessageType::kNone;
+    std::uint64_t epoch = 0;
+    std::uint64_t call_id = 0;
+};
+
+/**
+ * Append one encoded frame to `out`: the same bytes EncodeFrame
+ * produces for a Frame with these fields, written in place with a
+ * single FNV pass and no intermediate string. A transport encodes
+ * straight into a connection's write buffer this way.
+ */
+void AppendFrame(std::string& out, const FrameHeader& header,
+                 std::string_view target, std::string_view payload);
+
 /**
  * Decode exactly one complete frame from `bytes` (which must be
  * exactly one frame, as cut by FrameReader). Verifies magic, version,
@@ -204,7 +222,13 @@ class FrameReader
     /** Validate the buffered header prefix; throws when poisoned. */
     void CheckHeader();
 
+    /** frame_len of the frame at `head_` (at least 8 bytes buffered). */
+    std::uint32_t BufferedFrameLength() const;
+
+    /** Bytes [0, head_) of `buffer_` are consumed; the unread stream
+     *  starts at head_. Compacted once the prefix reaches half. */
     std::string buffer_;
+    std::size_t head_ = 0;
     std::uint64_t consumed_ = 0;
     bool poisoned_ = false;
 };

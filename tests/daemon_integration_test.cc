@@ -29,6 +29,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -92,6 +93,11 @@ class DaemonFleet : public ::testing::Test
                 ::kill(child.pid, SIGKILL);
                 ::waitpid(child.pid, nullptr, 0);
             }
+        }
+        // The children are reaped, so nothing holds the sockets any more.
+        if (!dir_.empty()) {
+            std::error_code ec;
+            std::filesystem::remove_all(dir_, ec);
         }
     }
 

@@ -14,9 +14,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <any>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -214,6 +217,36 @@ TEST(WireFrame, EncodeDecodeEncodeIsByteIdentical)
     EXPECT_EQ(EncodeFrame(decoded), first);
 }
 
+TEST(WireFrame, BytesArePinned)
+{
+    // The frame layout is wire format: a peer built from any revision
+    // must read these exact bytes. Re-pin only with a kWireVersion bump.
+    const std::string expected =
+        "44594e57500000000100000003001100000000000000bc9a785634120000"
+        "11000000000000006167656e743a7362302f727070302f7334090000000000"
+        "0000010000000000c07240cadbbe034ed18ce1";
+    std::string hex;
+    for (const unsigned char c : EncodeFrame(SampleFrame())) {
+        static constexpr char kDigits[] = "0123456789abcdef";
+        hex.push_back(kDigits[c >> 4]);
+        hex.push_back(kDigits[c & 0xf]);
+    }
+    EXPECT_EQ(hex, expected);
+}
+
+TEST(WireFrame, AppendFrameWritesEncodeFrameBytesInPlace)
+{
+    const Frame frame = SampleFrame();
+    std::string out = "already queued";
+    AppendFrame(out,
+                FrameHeader{frame.kind, frame.type, frame.epoch, frame.call_id},
+                frame.target, frame.payload);
+    EXPECT_EQ(out, "already queued" + EncodeFrame(frame));
+    // The digest covers only the appended frame, not what preceded it.
+    EXPECT_EQ(DecodeFrame(std::string_view(out).substr(14)).call_id,
+              frame.call_id);
+}
+
 TEST(WireFrame, ErrorFrameRoundTrips)
 {
     Frame frame;
@@ -320,6 +353,81 @@ TEST(WireReader, ReassemblesFramesUnderArbitraryChunking)
     }
     EXPECT_EQ(reader.bytes_consumed(), stream.size());
     EXPECT_FALSE(reader.poisoned());
+}
+
+TEST(WireReader, BatchFeedAndPartialFeedsAcrossCompaction)
+{
+    // Frames of different lengths, so frame boundaries and the
+    // reader's compaction point fall at varied offsets.
+    constexpr int kFrames = 500;
+    std::vector<std::string> frames;
+    std::string stream;
+    for (int i = 0; i < kFrames; ++i) {
+        Frame frame = SampleFrame();
+        frame.call_id = static_cast<std::uint64_t>(i + 1);
+        frame.target = "agent:sb0/rpp0/s" + std::to_string(i);
+        frames.push_back(EncodeFrame(frame));
+        stream += frames.back();
+    }
+    auto expect_frame = [&](FrameReader& reader, int i,
+                            std::uint64_t& consumed) {
+        ASSERT_TRUE(reader.HasFrame()) << "frame " << i;
+        const Frame frame = reader.Next();
+        EXPECT_EQ(frame.call_id, static_cast<std::uint64_t>(i + 1));
+        EXPECT_EQ(frame.target, "agent:sb0/rpp0/s" + std::to_string(i));
+        consumed += frames[static_cast<std::size_t>(i)].size();
+        EXPECT_EQ(reader.bytes_consumed(), consumed) << "frame " << i;
+    };
+
+    // All 500 frames in one Feed, then drained.
+    {
+        FrameReader reader;
+        reader.Feed(stream);
+        std::uint64_t consumed = 0;
+        for (int i = 0; i < kFrames; ++i) expect_frame(reader, i, consumed);
+        EXPECT_FALSE(reader.HasFrame());
+        EXPECT_EQ(consumed, stream.size());
+    }
+
+    // Partial Feeds interleaved with single Next() calls, so a backlog
+    // of unread frames rides along while the consumed prefix grows past
+    // half the buffer and is compacted, again and again.
+    {
+        FrameReader reader;
+        const std::size_t unit = frames.front().size();
+        const std::size_t chunks[] = {unit * 3 / 2, 7, unit - 3,
+                                      2 * unit + 5, 1, unit};
+        std::uint64_t consumed = 0;
+        std::size_t pos = 0;
+        int next = 0;
+        for (std::size_t c = 0; pos < stream.size(); ++c) {
+            const std::size_t n =
+                std::min(chunks[c % std::size(chunks)], stream.size() - pos);
+            reader.Feed(std::string_view(stream).substr(pos, n));
+            pos += n;
+            if (reader.HasFrame()) expect_frame(reader, next++, consumed);
+        }
+        while (next < kFrames) expect_frame(reader, next++, consumed);
+        EXPECT_FALSE(reader.HasFrame());
+        EXPECT_FALSE(reader.poisoned());
+        EXPECT_EQ(reader.bytes_consumed(), stream.size());
+    }
+}
+
+TEST(WireReader, BadMagicAfterCompactionReportsStreamOffset)
+{
+    const std::string good = EncodeFrame(SampleFrame());
+    FrameReader reader;
+    reader.Feed(good + good);
+    (void)reader.Next();
+    (void)reader.Next();
+    try {
+        reader.Feed("XXXXXXXX");
+        FAIL() << "bad magic accepted";
+    } catch (const WireError& e) {
+        EXPECT_EQ(e.offset(), 2 * good.size());
+    }
+    EXPECT_TRUE(reader.poisoned());
 }
 
 TEST(WireReader, BadMagicPoisonsImmediately)
