@@ -4,11 +4,12 @@
  * paper conclusion).
  *
  * The same overloaded web row runs under the production
- * high-bucket-first policy and the two alternatives. High-bucket-first
- * concentrates the cut on the hottest servers (fewest users affected,
- * punishes likely regressions); proportional spreads thin pain over
- * everyone; water-filling levels the top to a common cap. The bench
- * reports how many servers are throttled, the worst per-server
+ * high-bucket-first split (bucket_w = 20) and two alternatives:
+ * bucket_w = 0, which water-fills the top to a common cap, and the
+ * fairshare brain, which spreads the cut over everyone in proportion
+ * to headroom. High-bucket-first concentrates the cut on the hottest
+ * servers (fewest users affected, punishes likely regressions). The
+ * bench reports how many servers are throttled, the worst per-server
  * slowdown, and total work lost for each.
  */
 #include <algorithm>
@@ -16,12 +17,20 @@
 
 #include "bench_util.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
 #include "fleet/fleet.h"
+#include "policy/capping_policy.h"
 
 using namespace dynamo;
 
 namespace {
+
+/** One arm: a label and the two spec knobs it sets. */
+struct Arm
+{
+    const char* name;
+    Watts bucket_w;
+    policy::PolicyKind brain;
+};
 
 struct Outcome
 {
@@ -32,7 +41,7 @@ struct Outcome
 };
 
 Outcome
-Run(core::AllocationPolicy policy)
+Run(const Arm& arm)
 {
     fleet::FleetSpec spec;
     spec.scope = fleet::FleetScope::kRpp;
@@ -40,7 +49,9 @@ Run(core::AllocationPolicy policy)
     spec.servers_per_rpp = 560;
     spec.mix = fleet::ServiceMix::Single(workload::ServiceType::kWeb);
     spec.diurnal_amplitude = 0.0;
-    spec.deployment.leaf.allocation_policy = policy;
+    spec.deployment.leaf.bucket_size = arm.bucket_w;
+    spec.deployment.leaf.capping_policy = arm.brain;
+    spec.deployment.upper.capping_policy = arm.brain;
     spec.seed = 73;
     fleet::Fleet fleet(spec);
     fleet.scenario().AddPoint(0, 1.0);
@@ -79,20 +90,22 @@ main()
 
     std::printf("%-20s %12s %18s %14s %8s\n", "policy", "max capped",
                 "worst slowdown(%)", "work loss(%)", "outages");
-    for (core::AllocationPolicy policy :
-         {core::AllocationPolicy::kHighBucketFirst,
-          core::AllocationPolicy::kProportional,
-          core::AllocationPolicy::kWaterFill}) {
-        const Outcome out = Run(policy);
-        std::printf("%-20s %12zu %18.1f %14.2f %8zu\n",
-                    core::AllocationPolicyName(policy), out.max_capped,
-                    out.worst_slowdown_pct, out.work_loss_pct, out.outages);
+    const Arm arms[] = {
+        {"high-bucket-first", 20.0, policy::PolicyKind::kThreeBand},
+        {"water-fill", 0.0, policy::PolicyKind::kThreeBand},
+        {"fairshare", 20.0, policy::PolicyKind::kFairShare},
+    };
+    for (const Arm& arm : arms) {
+        const Outcome out = Run(arm);
+        std::printf("%-20s %12zu %18.1f %14.2f %8zu\n", arm.name,
+                    out.max_capped, out.worst_slowdown_pct, out.work_loss_pct,
+                    out.outages);
     }
 
     std::printf(
         "\nAll policies keep the breaker safe; they differ in who pays.\n"
         "High-bucket-first and water-fill focus the cut on the hottest\n"
-        "servers and leave the rest untouched. Proportional touches the\n"
+        "servers and leave the rest untouched. Fairshare touches the\n"
         "whole row, and because each cap *update* re-cuts every server\n"
         "from its already-capped power, shallow cuts compound across\n"
         "updates into deeper ones — a dynamic-interaction effect that\n"

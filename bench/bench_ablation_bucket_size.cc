@@ -15,11 +15,11 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "core/capping_policy.h"
+#include "policy/capping_policy.h"
 
 using namespace dynamo;
-using core::CappingPlan;
-using core::ServerPowerInfo;
+using policy::CappingPlan;
+using policy::ServerPowerInfo;
 
 int
 main()
@@ -30,7 +30,6 @@ main()
     std::vector<ServerPowerInfo> servers;
     for (int i = 0; i < 400; ++i) {
         ServerPowerInfo s;
-        s.name = "s" + std::to_string(i);
         s.power = 160.0 + 150.0 * rng.Uniform();
         s.priority_group = 0;
         s.sla_min_cap = 140.0;
@@ -41,16 +40,14 @@ main()
     std::printf("%12s %10s %14s %14s %16s\n", "bucket(W)", "capped",
                 "max cut(W)", "mean cut(W)", "deepest cap(%)");
     for (Watts bucket : {2.0, 5.0, 10.0, 20.0, 30.0, 60.0, 120.0}) {
-        const CappingPlan plan = core::ComputeCappingPlan(servers, cut, bucket);
+        const CappingPlan plan =
+            policy::ComputeCappingPlan(servers, cut, bucket);
         double max_cut = 0.0;
         double deepest = 0.0;
         for (const auto& a : plan.assignments) {
             max_cut = std::max(max_cut, a.cut);
-            for (const auto& s : servers) {
-                if (s.name == a.name) {
-                    deepest = std::max(deepest, 100.0 * a.cut / s.power);
-                }
-            }
+            deepest =
+                std::max(deepest, 100.0 * a.cut / servers[a.index].power);
         }
         std::printf("%12.0f %10zu %14.1f %14.1f %16.1f\n", bucket,
                     plan.assignments.size(), max_cut,

@@ -13,7 +13,6 @@
 
 #include "bench_util.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
 #include "fleet/fleet.h"
 
 using namespace dynamo;

@@ -10,18 +10,19 @@
  */
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
 #include "common/rng.h"
+#include "policy/capping_policy.h"
 #include "workload/service.h"
 
 using namespace dynamo;
-using core::CapAssignment;
-using core::CappingPlan;
-using core::ServerPowerInfo;
+using policy::CapAssignment;
+using policy::CappingPlan;
+using policy::ServerPowerInfo;
 
 int
 main()
@@ -32,12 +33,13 @@ main()
     // realistic power spread; web/feed in group 1, cache in group 2.
     Rng rng(41);
     std::vector<ServerPowerInfo> servers;
+    std::vector<std::string> names;
     auto add = [&](const char* prefix, int n, workload::ServiceType service,
                    double lo, double hi) {
         const auto& traits = workload::TraitsFor(service);
         for (int i = 0; i < n; ++i) {
             ServerPowerInfo s;
-            s.name = std::string(prefix) + std::to_string(i);
+            names.push_back(std::string(prefix) + std::to_string(i));
             s.power = lo + (hi - lo) * rng.Uniform();
             s.priority_group = traits.priority_group;
             s.sla_min_cap = 150.0;
@@ -49,38 +51,38 @@ main()
     add("feed", 35, workload::ServiceType::kNewsfeed, 170.0, 300.0);
 
     const Watts total_cut = 6000.0;
-    const CappingPlan plan = core::ComputeCappingPlan(servers, total_cut, 20.0);
+    const CappingPlan plan =
+        policy::ComputeCappingPlan(servers, total_cut, 20.0);
 
-    // Index assignments.
-    auto cap_of = [&](const std::string& name) -> const CapAssignment* {
-        for (const auto& a : plan.assignments) {
-            if (a.name == name) return &a;
-        }
-        return nullptr;
-    };
+    // Index assignments by server.
+    std::vector<const CapAssignment*> cap_of(servers.size(), nullptr);
+    for (const auto& a : plan.assignments) cap_of[a.index] = &a;
 
     double min_cap = 1e18;
     double max_uncapped_power = 0.0;
     int cache_capped = 0;
-    for (const auto& s : servers) {
-        const CapAssignment* a = cap_of(s.name);
-        if (a != nullptr) {
-            min_cap = std::min(min_cap, a->cap);
-            if (s.name.rfind("cache", 0) == 0) ++cache_capped;
-        } else if (s.name.rfind("cache", 0) != 0) {
-            max_uncapped_power = std::max(max_uncapped_power, s.power);
+    for (std::size_t i = 0; i < servers.size(); ++i) {
+        const bool cache = names[i].rfind("cache", 0) == 0;
+        if (cap_of[i] != nullptr) {
+            min_cap = std::min(min_cap, cap_of[i]->cap);
+            if (cache) ++cache_capped;
+        } else if (!cache) {
+            max_uncapped_power = std::max(max_uncapped_power, servers[i].power);
         }
     }
 
     std::printf("total-power-cut=%.0f W, bucket=20 W\n\n", total_cut);
     std::printf("snapshot (sorted by power; every 10th web server shown):\n");
     std::printf("%10s %10s %10s\n", "server", "power(W)", "cap(W)");
-    std::vector<ServerPowerInfo> web(servers.begin(), servers.begin() + 200);
-    std::sort(web.begin(), web.end(),
-              [](const auto& a, const auto& b) { return a.power < b.power; });
+    std::vector<std::size_t> web(200);
+    for (std::size_t i = 0; i < web.size(); ++i) web[i] = i;
+    std::sort(web.begin(), web.end(), [&](std::size_t a, std::size_t b) {
+        return servers[a].power < servers[b].power;
+    });
     for (std::size_t i = 0; i < web.size(); i += 10) {
-        const CapAssignment* a = cap_of(web[i].name);
-        std::printf("%10s %10.1f %10s\n", web[i].name.c_str(), web[i].power,
+        const std::size_t k = web[i];
+        const CapAssignment* a = cap_of[k];
+        std::printf("%10s %10.1f %10s\n", names[k].c_str(), servers[k].power,
                     a ? std::to_string(static_cast<int>(a->cap)).c_str()
                       : "-");
     }

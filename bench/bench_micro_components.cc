@@ -12,7 +12,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
+#include "policy/capping_policy.h"
 #include "power/breaker.h"
 #include "server/sim_server.h"
 #include "sim/simulation.h"
@@ -44,11 +44,10 @@ BM_CappingPlan(benchmark::State& state)
 {
     const int n = static_cast<int>(state.range(0));
     Rng rng(5);
-    std::vector<core::ServerPowerInfo> servers;
+    std::vector<policy::ServerPowerInfo> servers;
     double total = 0.0;
     for (int i = 0; i < n; ++i) {
-        core::ServerPowerInfo s;
-        s.name = "s" + std::to_string(i);
+        policy::ServerPowerInfo s;
         s.power = 150.0 + 200.0 * rng.Uniform();
         s.priority_group = static_cast<int>(rng.UniformInt(3));
         s.sla_min_cap = 140.0;
@@ -56,8 +55,8 @@ BM_CappingPlan(benchmark::State& state)
         servers.push_back(s);
     }
     for (auto _ : state) {
-        const core::CappingPlan plan =
-            core::ComputeCappingPlan(servers, total * 0.05, 20.0);
+        const policy::CappingPlan plan =
+            policy::ComputeCappingPlan(servers, total * 0.05, 20.0);
         benchmark::DoNotOptimize(plan.planned_cut);
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -69,18 +68,17 @@ BM_OffenderPlan(benchmark::State& state)
 {
     const int n = static_cast<int>(state.range(0));
     Rng rng(6);
-    std::vector<core::ChildPowerInfo> children;
+    std::vector<policy::ChildPowerInfo> children;
     for (int i = 0; i < n; ++i) {
-        core::ChildPowerInfo c;
-        c.name = "c" + std::to_string(i);
+        policy::ChildPowerInfo c;
         c.power = 100e3 + 80e3 * rng.Uniform();
         c.quota = 130e3;
         c.floor = 60e3;
         children.push_back(c);
     }
     for (auto _ : state) {
-        const core::OffenderPlan plan =
-            core::ComputeOffenderPlan(children, 50e3, 2000.0);
+        const policy::OffenderPlan plan =
+            policy::ComputeOffenderPlan(children, 50e3, 2000.0);
         benchmark::DoNotOptimize(plan.planned_cut);
     }
 }

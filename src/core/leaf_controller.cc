@@ -214,9 +214,8 @@ LeafController::Aggregate()
 
     const Watts limit = EffectiveLimit();
 
-    // Roster view for the brain. Names are deliberately left empty:
-    // plans refer to agents by index, so no per-cycle string copies
-    // are needed. Stateless brains only see it while capping (the
+    // Roster view for the brain, aligned with agents_ (plans refer to
+    // agents by index). Stateless brains only see it while capping (the
     // pre-interface hot path); observing brains get it every valid
     // cycle so they can track demand between episodes.
     auto fill_infos = [&]() {
@@ -229,7 +228,6 @@ LeafController::Aggregate()
     };
     policy::PolicyContext pctx;
     pctx.bucket_size = leaf_config_.bucket_size;
-    pctx.allocation_policy = leaf_config_.allocation_policy;
     pctx.aggregated = aggregated;
     pctx.limit = limit;
     pctx.now = now;
@@ -265,7 +263,7 @@ LeafController::Aggregate()
         pctx.target = decision.target;
         policy_->PlanServerCuts(infos_, decision.cut, pctx, capping_ws_,
                                 &capping_plan_);
-        const CappingPlan& plan = capping_plan_;
+        const policy::CappingPlan& plan = capping_plan_;
         if (!was_capping) NoteCapStart();
         if (!config_.dry_run) ExecuteCapPlan(plan);
         LogEvent(was_capping ? telemetry::EventKind::kCapUpdate
@@ -282,7 +280,7 @@ LeafController::Aggregate()
             span.planned_cut = plan.planned_cut;
             span.satisfied = plan.satisfied;
             std::map<int, std::pair<Watts, int>> by_group;
-            for (const CapAssignment& assignment : plan.assignments) {
+            for (const policy::CapAssignment& assignment : plan.assignments) {
                 if (assignment.index >= agents_.size()) continue;
                 const AgentState& a = agents_[assignment.index];
                 auto& group = by_group[a.info.priority_group];
@@ -294,8 +292,8 @@ LeafController::Aggregate()
                 alloc.floor = a.info.sla_min_cap;
                 alloc.cut = assignment.cut;
                 alloc.limit_sent = assignment.cap;
-                alloc.bucket = static_cast<int>(
-                    powers[assignment.index] / leaf_config_.bucket_size);
+                alloc.bucket = policy::BucketIndex(powers[assignment.index],
+                                                   leaf_config_.bucket_size);
                 span.allocs.push_back(std::move(alloc));
             }
             for (const auto& [pg, cut_servers] : by_group) {
@@ -363,9 +361,9 @@ LeafController::Aggregate()
 }
 
 void
-LeafController::ExecuteCapPlan(const CappingPlan& plan)
+LeafController::ExecuteCapPlan(const policy::CappingPlan& plan)
 {
-    for (const CapAssignment& assignment : plan.assignments) {
+    for (const policy::CapAssignment& assignment : plan.assignments) {
         if (assignment.index >= agents_.size()) continue;
         AgentState& a = agents_[assignment.index];
         a.capped = true;

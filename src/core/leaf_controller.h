@@ -22,7 +22,6 @@
 
 #include <memory>
 
-#include "core/capping_policy.h"
 #include "core/controller.h"
 #include "core/load_shed.h"
 #include "policy/capping_policy.h"
@@ -58,11 +57,11 @@ class LeafController : public Controller
                                   /*rpc_timeout=*/900, ThreeBandConfig{},
                                   /*max_failure_fraction=*/0.2};
 
-        /** High-bucket-first width; the paper uses 20 W (10–30 W ok). */
+        /**
+         * High-bucket-first width; the paper uses 20 W (10–30 W ok).
+         * 0 means pure water-fill within each priority group.
+         */
         Watts bucket_size = 20.0;
-
-        /** Within-group allocation rule (paper: high-bucket-first). */
-        AllocationPolicy allocation_policy = AllocationPolicy::kHighBucketFirst;
 
         /**
          * Capping brain computing the cut split (the policy lab).
@@ -228,7 +227,7 @@ class LeafController : public Controller
      */
     Watts EstimateFor(AgentState& agent);
 
-    void ExecuteCapPlan(const CappingPlan& plan);
+    void ExecuteCapPlan(const policy::CappingPlan& plan);
     void ExecuteUncap();
 
     power::PowerDevice& device_;
@@ -241,9 +240,9 @@ class LeafController : public Controller
 
     /** Per-cycle scratch, reused so aggregation is allocation-free. */
     std::vector<Watts> powers_;
-    std::vector<ServerPowerInfo> infos_;
-    CappingWorkspace capping_ws_;
-    CappingPlan capping_plan_;
+    std::vector<policy::ServerPowerInfo> infos_;
+    policy::CappingWorkspace capping_ws_;
+    policy::CappingPlan capping_plan_;
 
     std::size_t last_failure_count_ = 0;
     std::uint64_t estimated_readings_ = 0;

@@ -149,7 +149,7 @@ UpperController::Aggregate()
         if (!c.have_last) continue;  // never heard from it; skip
         if (now - c.last_time > ReadingTtl()) continue;  // stale cache
         aggregated += c.last.power;
-        ChildPowerInfo info;
+        policy::ChildPowerInfo info;
         info.power = c.last.power;
         info.quota = c.last.quota;
         info.floor = c.last.floor;
@@ -219,7 +219,7 @@ UpperController::Aggregate()
         pctx.target = decision.target;
         policy_->PlanChildLimits(infos_, decision.cut, pctx, offender_ws_,
                                  &offender_plan_);
-        const OffenderPlan& plan = offender_plan_;
+        const policy::OffenderPlan& plan = offender_plan_;
         if (!was_capping) NoteCapStart();
 
         // The span is appended before the contract commands go out so
@@ -238,17 +238,17 @@ UpperController::Aggregate()
             // offender-first, not an omission.
             span.allocs.resize(infos_.size());
             for (std::size_t i = 0; i < infos_.size(); ++i) {
-                const ChildPowerInfo& info = infos_[i];
+                const policy::ChildPowerInfo& info = infos_[i];
                 telemetry::TraceAllocation& alloc = span.allocs[i];
                 alloc.target = children_[fresh_child_[i]].endpoint;
                 alloc.power = info.power;
                 alloc.floor = info.floor;
                 alloc.quota = info.quota;
                 alloc.offender = info.power > info.quota;
-                alloc.bucket = static_cast<int>(
-                    info.power / upper_config_.bucket_size);
+                alloc.bucket =
+                    policy::BucketIndex(info.power, upper_config_.bucket_size);
             }
-            for (const ChildLimit& child_limit : plan.limits) {
+            for (const policy::ChildLimit& child_limit : plan.limits) {
                 if (child_limit.index >= span.allocs.size()) continue;
                 span.allocs[child_limit.index].cut = child_limit.cut;
                 span.allocs[child_limit.index].limit_sent =
@@ -301,10 +301,10 @@ UpperController::Aggregate()
 }
 
 void
-UpperController::ExecutePlan(const OffenderPlan& plan,
+UpperController::ExecutePlan(const policy::OffenderPlan& plan,
                              telemetry::SpanId span_id)
 {
-    for (const ChildLimit& child_limit : plan.limits) {
+    for (const policy::ChildLimit& child_limit : plan.limits) {
         if (child_limit.index >= fresh_child_.size()) continue;
         ChildState& c = children_[fresh_child_[child_limit.index]];
         c.contracted = true;

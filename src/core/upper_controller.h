@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/capping_policy.h"
 #include "core/controller.h"
 #include "policy/capping_policy.h"
 
@@ -126,7 +125,8 @@ class UpperController : public Controller
     };
 
     void Aggregate();
-    void ExecutePlan(const OffenderPlan& plan, telemetry::SpanId span_id);
+    void ExecutePlan(const policy::OffenderPlan& plan,
+                     telemetry::SpanId span_id);
 
     /**
      * Re-send standing contractual limits to contracted children.
@@ -152,10 +152,10 @@ class UpperController : public Controller
      * its index in children_, letting plan limits address children by
      * index without name lookups.
      */
-    std::vector<ChildPowerInfo> infos_;
+    std::vector<policy::ChildPowerInfo> infos_;
     std::vector<std::uint32_t> fresh_child_;
-    CappingWorkspace offender_ws_;
-    OffenderPlan offender_plan_;
+    policy::CappingWorkspace offender_ws_;
+    policy::OffenderPlan offender_plan_;
 
     std::size_t last_failure_count_ = 0;
     std::uint64_t contracts_reaffirmed_ = 0;

@@ -320,19 +320,20 @@ ParseFleetSpec(std::istream& in)
         } else if (key == "with_load_shedding") {
             spec.with_load_shedding = ParseBool(value, line_no, line);
         } else if (key == "allocation_policy") {
-            if (value == "high-bucket-first") {
-                spec.deployment.leaf.allocation_policy =
-                    core::AllocationPolicy::kHighBucketFirst;
-            } else if (value == "proportional") {
-                spec.deployment.leaf.allocation_policy =
-                    core::AllocationPolicy::kProportional;
-            } else if (value == "water-fill") {
-                spec.deployment.leaf.allocation_policy =
-                    core::AllocationPolicy::kWaterFill;
-            } else {
+            // A fixed line of the canonical format: every recorded
+            // journal embeds it. The within-group rule is always
+            // high-bucket-first; the other splits have their own keys.
+            if (value == "proportional") {
                 Fail(line_no, line,
-                     "allocation_policy must be high-bucket-first|"
-                     "proportional|water-fill");
+                     "allocation_policy 'proportional' was removed; use "
+                     "capping_policy = fairshare");
+            } else if (value == "water-fill") {
+                Fail(line_no, line,
+                     "allocation_policy 'water-fill' was removed; use "
+                     "bucket_w = 0");
+            } else if (value != "high-bucket-first") {
+                Fail(line_no, line,
+                     "allocation_policy must be high-bucket-first");
             }
         } else if (key == "leaf_pull_cycle_ms") {
             spec.deployment.leaf.base.pull_cycle =
@@ -445,17 +446,6 @@ MixToString(const ServiceMix& mix)
     return out;
 }
 
-const char*
-PolicyName(core::AllocationPolicy policy)
-{
-    switch (policy) {
-      case core::AllocationPolicy::kHighBucketFirst: return "high-bucket-first";
-      case core::AllocationPolicy::kProportional: return "proportional";
-      case core::AllocationPolicy::kWaterFill: return "water-fill";
-    }
-    return "high-bucket-first";
-}
-
 }  // namespace
 
 void
@@ -488,7 +478,9 @@ WriteFleetSpec(std::ostream& out, const FleetSpec& spec)
     kv("with_breaker_validation",
        spec.with_breaker_validation ? "true" : "false");
     kv("with_load_shedding", spec.with_load_shedding ? "true" : "false");
-    kv("allocation_policy", PolicyName(spec.deployment.leaf.allocation_policy));
+    // Not a knob: committed journals embed this line, so the canonical
+    // form keeps it.
+    kv("allocation_policy", "high-bucket-first");
     kv("leaf_pull_cycle_ms",
        std::to_string(spec.deployment.leaf.base.pull_cycle));
     kv("upper_pull_cycle_ms",

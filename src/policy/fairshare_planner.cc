@@ -9,11 +9,11 @@ namespace {
  * ws.cuts. `*satisfied` reports whether the full cut fits within the
  * floors. Returns the total allocated (index-order sum).
  *
- * NOTE: the by-value oracle in policy_reference.cc mirrors this loop
+ * NOTE: the by-value oracle in reference.cc mirrors this loop
  * structure operation for operation — keep them in lockstep.
  */
 double
-SolveFairShare(std::size_t n, Watts cut, core::CappingWorkspace& ws,
+SolveFairShare(std::size_t n, Watts cut, CappingWorkspace& ws,
                bool* satisfied)
 {
     double total_headroom = 0.0;
@@ -75,8 +75,8 @@ SolveFairShare(std::size_t n, Watts cut, core::CappingWorkspace& ws,
 
 void
 FairSharePlanner::PlanServerCuts(
-    const std::vector<core::ServerPowerInfo>& servers, Watts cut,
-    const PolicyContext&, core::CappingWorkspace& ws, core::CappingPlan* plan)
+    const std::vector<ServerPowerInfo>& servers, Watts cut,
+    const PolicyContext&, CappingWorkspace& ws, CappingPlan* plan)
 {
     plan->assignments.clear();
     plan->planned_cut = 0.0;
@@ -98,7 +98,7 @@ FairSharePlanner::PlanServerCuts(
     plan->satisfied = satisfied;
     for (std::size_t i = 0; i < n; ++i) {
         if (ws.cuts[i] <= 0.0) continue;
-        core::CapAssignment assignment;
+        CapAssignment assignment;
         assignment.index = i;
         assignment.cap = servers[i].power - ws.cuts[i];
         assignment.cut = ws.cuts[i];
@@ -109,8 +109,8 @@ FairSharePlanner::PlanServerCuts(
 
 void
 FairSharePlanner::PlanChildLimits(
-    const std::vector<core::ChildPowerInfo>& children, Watts cut,
-    const PolicyContext&, core::CappingWorkspace& ws, core::OffenderPlan* plan)
+    const std::vector<ChildPowerInfo>& children, Watts cut,
+    const PolicyContext&, CappingWorkspace& ws, OffenderPlan* plan)
 {
     plan->limits.clear();
     plan->planned_cut = 0.0;
@@ -131,7 +131,7 @@ FairSharePlanner::PlanChildLimits(
     plan->satisfied = satisfied;
     for (std::size_t i = 0; i < n; ++i) {
         if (ws.cuts[i] <= 0.0) continue;
-        core::ChildLimit limit;
+        ChildLimit limit;
         limit.index = i;
         limit.contractual_limit = children[i].power - ws.cuts[i];
         limit.cut = ws.cuts[i];

@@ -17,7 +17,7 @@
  * active items (at most n rounds — each round saturates at least one
  * item or ends the split). Stateless, allocation-free (scratch in the
  * caller's CappingWorkspace), and pinned bit-identical to the
- * by-value oracle in policy/policy_reference.h.
+ * by-value oracle in policy/reference.h.
  */
 #ifndef DYNAMO_POLICY_FAIRSHARE_PLANNER_H_
 #define DYNAMO_POLICY_FAIRSHARE_PLANNER_H_
@@ -35,15 +35,15 @@ class FairSharePlanner final : public CappingPolicy
 
     PolicyKind kind() const override { return PolicyKind::kFairShare; }
 
-    void PlanServerCuts(const std::vector<core::ServerPowerInfo>& servers,
+    void PlanServerCuts(const std::vector<ServerPowerInfo>& servers,
                         Watts cut, const PolicyContext& ctx,
-                        core::CappingWorkspace& ws,
-                        core::CappingPlan* plan) override;
+                        CappingWorkspace& ws,
+                        CappingPlan* plan) override;
 
-    void PlanChildLimits(const std::vector<core::ChildPowerInfo>& children,
+    void PlanChildLimits(const std::vector<ChildPowerInfo>& children,
                          Watts cut, const PolicyContext& ctx,
-                         core::CappingWorkspace& ws,
-                         core::OffenderPlan* plan) override;
+                         CappingWorkspace& ws,
+                         OffenderPlan* plan) override;
 };
 
 }  // namespace dynamo::policy

@@ -57,45 +57,42 @@ WidenedCut(const Roster& roster, GetPower power_of,
 
 void
 PredictivePlanner::ObserveServers(
-    const std::vector<core::ServerPowerInfo>& servers, const PolicyContext&)
+    const std::vector<ServerPowerInfo>& servers, const PolicyContext&)
 {
     HoltUpdate(
-        servers, [](const core::ServerPowerInfo& s) { return s.power; },
+        servers, [](const ServerPowerInfo& s) { return s.power; },
         &level_, &slope_);
 }
 
 void
 PredictivePlanner::ObserveChildren(
-    const std::vector<core::ChildPowerInfo>& children, const PolicyContext&)
+    const std::vector<ChildPowerInfo>& children, const PolicyContext&)
 {
     HoltUpdate(
-        children, [](const core::ChildPowerInfo& c) { return c.power; },
+        children, [](const ChildPowerInfo& c) { return c.power; },
         &child_level_, &child_slope_);
 }
 
 void
 PredictivePlanner::PlanServerCuts(
-    const std::vector<core::ServerPowerInfo>& servers, Watts cut,
-    const PolicyContext& ctx, core::CappingWorkspace& ws,
-    core::CappingPlan* plan)
+    const std::vector<ServerPowerInfo>& servers, Watts cut,
+    const PolicyContext& ctx, CappingWorkspace& ws, CappingPlan* plan)
 {
     const Watts eff = WidenedCut(
-        servers, [](const core::ServerPowerInfo& s) { return s.power; },
+        servers, [](const ServerPowerInfo& s) { return s.power; },
         level_, slope_, cut);
-    core::ComputeCappingPlan(servers, eff, ctx.bucket_size,
-                             ctx.allocation_policy, ws, plan);
+    ComputeCappingPlan(servers, eff, ctx.bucket_size, ws, plan);
 }
 
 void
 PredictivePlanner::PlanChildLimits(
-    const std::vector<core::ChildPowerInfo>& children, Watts cut,
-    const PolicyContext& ctx, core::CappingWorkspace& ws,
-    core::OffenderPlan* plan)
+    const std::vector<ChildPowerInfo>& children, Watts cut,
+    const PolicyContext& ctx, CappingWorkspace& ws, OffenderPlan* plan)
 {
     const Watts eff = WidenedCut(
-        children, [](const core::ChildPowerInfo& c) { return c.power; },
+        children, [](const ChildPowerInfo& c) { return c.power; },
         child_level_, child_slope_, cut);
-    core::ComputeOffenderPlan(children, eff, ctx.bucket_size, ws, plan);
+    ComputeOffenderPlan(children, eff, ctx.bucket_size, ws, plan);
 }
 
 void

@@ -43,21 +43,21 @@ class PredictivePlanner final : public CappingPolicy
 
     bool WantsObservations() const override { return true; }
 
-    void ObserveServers(const std::vector<core::ServerPowerInfo>& servers,
+    void ObserveServers(const std::vector<ServerPowerInfo>& servers,
                         const PolicyContext& ctx) override;
 
-    void ObserveChildren(const std::vector<core::ChildPowerInfo>& children,
+    void ObserveChildren(const std::vector<ChildPowerInfo>& children,
                          const PolicyContext& ctx) override;
 
-    void PlanServerCuts(const std::vector<core::ServerPowerInfo>& servers,
+    void PlanServerCuts(const std::vector<ServerPowerInfo>& servers,
                         Watts cut, const PolicyContext& ctx,
-                        core::CappingWorkspace& ws,
-                        core::CappingPlan* plan) override;
+                        CappingWorkspace& ws,
+                        CappingPlan* plan) override;
 
-    void PlanChildLimits(const std::vector<core::ChildPowerInfo>& children,
+    void PlanChildLimits(const std::vector<ChildPowerInfo>& children,
                          Watts cut, const PolicyContext& ctx,
-                         core::CappingWorkspace& ws,
-                         core::OffenderPlan* plan) override;
+                         CappingWorkspace& ws,
+                         OffenderPlan* plan) override;
 
     void Reset() override;
 

@@ -9,11 +9,11 @@ namespace {
  * ws.stage[0..n); per-item cuts land in ws.cuts. Returns the total
  * allocated (index-order sum; ≥ cut unless headroom saturates).
  *
- * NOTE: the by-value oracle in policy_reference.cc mirrors this loop
+ * NOTE: the by-value oracle in reference.cc mirrors this loop
  * structure operation for operation — keep them in lockstep.
  */
 double
-SolveWaterfill(std::size_t n, Watts cut, core::CappingWorkspace& ws)
+SolveWaterfill(std::size_t n, Watts cut, CappingWorkspace& ws)
 {
     double total_headroom = 0.0;
     for (std::size_t i = 0; i < n; ++i) total_headroom += ws.headroom[i];
@@ -56,8 +56,8 @@ SolveWaterfill(std::size_t n, Watts cut, core::CappingWorkspace& ws)
 
 void
 WaterfillPlanner::PlanServerCuts(
-    const std::vector<core::ServerPowerInfo>& servers, Watts cut,
-    const PolicyContext&, core::CappingWorkspace& ws, core::CappingPlan* plan)
+    const std::vector<ServerPowerInfo>& servers, Watts cut,
+    const PolicyContext&, CappingWorkspace& ws, CappingPlan* plan)
 {
     plan->assignments.clear();
     plan->planned_cut = 0.0;
@@ -78,7 +78,7 @@ WaterfillPlanner::PlanServerCuts(
     plan->satisfied = planned >= cut;
     for (std::size_t i = 0; i < n; ++i) {
         if (ws.cuts[i] <= 0.0) continue;
-        core::CapAssignment assignment;
+        CapAssignment assignment;
         assignment.index = i;
         assignment.cap = servers[i].power - ws.cuts[i];
         assignment.cut = ws.cuts[i];
@@ -89,8 +89,8 @@ WaterfillPlanner::PlanServerCuts(
 
 void
 WaterfillPlanner::PlanChildLimits(
-    const std::vector<core::ChildPowerInfo>& children, Watts cut,
-    const PolicyContext&, core::CappingWorkspace& ws, core::OffenderPlan* plan)
+    const std::vector<ChildPowerInfo>& children, Watts cut,
+    const PolicyContext&, CappingWorkspace& ws, OffenderPlan* plan)
 {
     plan->limits.clear();
     plan->planned_cut = 0.0;
@@ -110,7 +110,7 @@ WaterfillPlanner::PlanChildLimits(
     plan->satisfied = planned >= cut;
     for (std::size_t i = 0; i < n; ++i) {
         if (ws.cuts[i] <= 0.0) continue;
-        core::ChildLimit limit;
+        ChildLimit limit;
         limit.index = i;
         limit.contractual_limit = children[i].power - ws.cuts[i];
         limit.cut = ws.cuts[i];

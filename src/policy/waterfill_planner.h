@@ -26,7 +26,7 @@
  * Stateless and allocation-free: scratch lives in the caller's
  * CappingWorkspace (headroom in ws.headroom, weights in ws.stage,
  * per-item cuts in ws.cuts). Pinned bit-identical to the by-value
- * oracle in policy/policy_reference.h.
+ * oracle in policy/reference.h.
  */
 #ifndef DYNAMO_POLICY_WATERFILL_PLANNER_H_
 #define DYNAMO_POLICY_WATERFILL_PLANNER_H_
@@ -44,15 +44,15 @@ class WaterfillPlanner final : public CappingPolicy
 
     PolicyKind kind() const override { return PolicyKind::kWaterfill; }
 
-    void PlanServerCuts(const std::vector<core::ServerPowerInfo>& servers,
+    void PlanServerCuts(const std::vector<ServerPowerInfo>& servers,
                         Watts cut, const PolicyContext& ctx,
-                        core::CappingWorkspace& ws,
-                        core::CappingPlan* plan) override;
+                        CappingWorkspace& ws,
+                        CappingPlan* plan) override;
 
-    void PlanChildLimits(const std::vector<core::ChildPowerInfo>& children,
+    void PlanChildLimits(const std::vector<ChildPowerInfo>& children,
                          Watts cut, const PolicyContext& ctx,
-                         core::CappingWorkspace& ws,
-                         core::OffenderPlan* plan) override;
+                         CappingWorkspace& ws,
+                         OffenderPlan* plan) override;
 };
 
 }  // namespace dynamo::policy

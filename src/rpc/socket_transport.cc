@@ -459,6 +459,9 @@ SocketTransport::ReadAndDispatch(Connection& conn,
                                  std::size_t& served)
 {
     char buffer[65536];
+    // A peer may answer and close at once: the frames read before the
+    // close are dispatched first, and only then is the close reported.
+    bool open = true;
     for (;;) {
         const ssize_t n = ::read(conn.fd, buffer, sizeof buffer);
         if (n > 0) {
@@ -470,10 +473,10 @@ SocketTransport::ReadAndDispatch(Connection& conn,
             }
             continue;
         }
-        if (n == 0) return false;  // peer closed
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        return false;  // reset or other hard error
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+        if (n < 0 && errno == EINTR) continue;
+        open = false;  // peer closed, reset or other hard error
+        break;
     }
     while (conn.reader.HasFrame()) {
         wire::Frame frame;
@@ -489,7 +492,7 @@ SocketTransport::ReadAndDispatch(Connection& conn,
             HandleReply(conn, frame, done);
         }
     }
-    return true;
+    return open;
 }
 
 void

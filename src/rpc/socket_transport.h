@@ -230,7 +230,8 @@ class SocketTransport final : public Transport
 
     /** Drain readable bytes; dispatch complete frames, adding each
      *  request served to `served`. Returns false when the connection
-     *  died (caller must FailConnection). */
+     *  died (caller must FailConnection); frames that arrived before
+     *  the peer closed are dispatched all the same. */
     bool ReadAndDispatch(Connection& conn, std::vector<Completion>& done,
                          std::size_t& served);
 

@@ -1,21 +1,20 @@
 // Equivalence tests pinning the allocation-free capping paths to the
-// original implementations (capping_policy_reference.h), plus edge
+// original implementations (policy/reference.h), plus edge
 // cases for the shared BucketedEvenCut primitive. The optimized code
 // must be *bit-identical* — same iteration order, same floating-point
 // operation order — so every comparison below is exact (EXPECT_EQ on
 // doubles), not approximate.
-#include "core/capping_policy.h"
+#include "policy/capping_policy.h"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/capping_policy_reference.h"
+#include "policy/reference.h"
 
-namespace dynamo::core {
+namespace dynamo::policy {
 namespace {
 
 std::vector<ServerPowerInfo>
@@ -25,7 +24,6 @@ RandomServers(Rng& rng, std::size_t n, int groups)
     servers.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         ServerPowerInfo info;
-        info.name = "srv" + std::to_string(i);
         info.power = rng.Uniform(80.0, 450.0);
         info.priority_group = static_cast<int>(rng.UniformInt(
             static_cast<std::uint64_t>(groups)));
@@ -42,7 +40,6 @@ RandomChildren(Rng& rng, std::size_t n)
     children.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         ChildPowerInfo info;
-        info.name = "child" + std::to_string(i);
         info.quota = rng.Uniform(50'000.0, 200'000.0);
         // Mix offenders (power > quota) and compliant children.
         info.power = info.quota * rng.Uniform(0.7, 1.4);
@@ -80,11 +77,10 @@ ExpectSamePlan(const OffenderPlan& got, const OffenderPlan& want)
     }
 }
 
-TEST(CappingArenaEquivalence, CappingPlanMatchesReferenceAcrossPolicies)
+TEST(CappingArenaEquivalence, CappingPlanMatchesReferenceAcrossBucketSizes)
 {
-    const AllocationPolicy policies[] = {AllocationPolicy::kHighBucketFirst,
-                                         AllocationPolicy::kProportional,
-                                         AllocationPolicy::kWaterFill};
+    // 0 is pure water-fill within each priority group.
+    const Watts fixed_buckets[] = {0.0, 10.0, 20.0, 30.0};
     CappingWorkspace ws;  // deliberately shared across all iterations
     CappingPlan plan;
     Rng rng(0xcafe);
@@ -97,26 +93,19 @@ TEST(CappingArenaEquivalence, CappingPlanMatchesReferenceAcrossPolicies)
         for (const auto& s : servers) total += s.power;
         // Cuts from trivial to unsatisfiable.
         const Watts cut = total * rng.Uniform(0.01, 0.9);
-        const Watts bucket = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(5.0, 40.0);
+        const Watts random_bucket = rng.Uniform(5.0, 40.0);
 
-        for (AllocationPolicy policy : policies) {
+        for (Watts bucket : fixed_buckets) {
             const CappingPlan want =
-                reference::ComputeCappingPlan(servers, cut, bucket, policy);
-            ComputeCappingPlan(servers, cut, bucket, policy, ws, &plan);
+                reference::ComputeCappingPlan(servers, cut, bucket);
+            ComputeCappingPlan(servers, cut, bucket, ws, &plan);
             ExpectSamePlan(plan, want);
         }
-    }
-}
-
-TEST(CappingArenaEquivalence, LegacyWrapperFillsNames)
-{
-    Rng rng(7);
-    const auto servers = RandomServers(rng, 12, 2);
-    const CappingPlan by_value = ComputeCappingPlan(servers, 500.0, 20.0);
-    const CappingPlan want = reference::ComputeCappingPlan(servers, 500.0, 20.0);
-    ExpectSamePlan(by_value, want);
-    for (const CapAssignment& a : by_value.assignments) {
-        EXPECT_EQ(a.name, servers[a.index].name);
+        const CappingPlan want =
+            reference::ComputeCappingPlan(servers, cut, random_bucket);
+        ComputeCappingPlan(servers, cut, random_bucket, ws, &plan);
+        ExpectSamePlan(plan, want);
+        ExpectSamePlan(ComputeCappingPlan(servers, cut, random_bucket), want);
     }
 }
 
@@ -141,9 +130,6 @@ TEST(CappingArenaEquivalence, OffenderPlanMatchesReference)
         const OffenderPlan by_value =
             ComputeOffenderPlan(children, cut, bucket);
         ExpectSamePlan(by_value, want);
-        for (const ChildLimit& limit : by_value.limits) {
-            EXPECT_EQ(limit.name, children[limit.index].name);
-        }
     }
 }
 
@@ -155,13 +141,11 @@ TEST(CappingArenaEquivalence, WorkspaceReuseDoesNotLeakStateBetweenCalls)
     CappingPlan plan;
     Rng rng(3);
     const auto big = RandomServers(rng, 64, 3);
-    ComputeCappingPlan(big, 5000.0, 20.0, AllocationPolicy::kHighBucketFirst,
-                       ws, &plan);
+    ComputeCappingPlan(big, 5000.0, 20.0, ws, &plan);
 
     const auto small = RandomServers(rng, 3, 1);
     const CappingPlan want = reference::ComputeCappingPlan(small, 120.0, 20.0);
-    ComputeCappingPlan(small, 120.0, 20.0, AllocationPolicy::kHighBucketFirst,
-                       ws, &plan);
+    ComputeCappingPlan(small, 120.0, 20.0, ws, &plan);
     ExpectSamePlan(plan, want);
 }
 
@@ -257,4 +241,4 @@ TEST(BucketedEvenCutEdges, RandomizedInputsMatchReference)
 }
 
 }  // namespace
-}  // namespace dynamo::core
+}  // namespace dynamo::policy

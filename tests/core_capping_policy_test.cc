@@ -1,7 +1,7 @@
 // Unit and property tests for the allocation algorithms:
 // high-bucket-first, priority groups, SLA floors (leaf), and
 // punish-offender-first with contractual limits (upper).
-#include "core/capping_policy.h"
+#include "policy/capping_policy.h"
 
 #include <cmath>
 #include <numeric>
@@ -10,7 +10,7 @@
 
 #include "common/rng.h"
 
-namespace dynamo::core {
+namespace dynamo::policy {
 namespace {
 
 double
@@ -70,7 +70,7 @@ TEST(BucketedEvenCut, ZeroBucketDegeneratesToWaterFill)
 
 TEST(ComputeCappingPlan, ZeroOrNegativeCutIsSatisfiedNoop)
 {
-    const std::vector<ServerPowerInfo> servers = {{"a", 200.0, 0, 100.0}};
+    const std::vector<ServerPowerInfo> servers = {{200.0, 0, 100.0}};
     EXPECT_TRUE(ComputeCappingPlan(servers, 0.0).satisfied);
     EXPECT_TRUE(ComputeCappingPlan(servers, -5.0).satisfied);
     EXPECT_TRUE(ComputeCappingPlan(servers, 0.0).assignments.empty());
@@ -78,7 +78,7 @@ TEST(ComputeCappingPlan, ZeroOrNegativeCutIsSatisfiedNoop)
 
 TEST(ComputeCappingPlan, CapEqualsPowerMinusCut)
 {
-    const std::vector<ServerPowerInfo> servers = {{"a", 250.0, 0, 100.0}};
+    const std::vector<ServerPowerInfo> servers = {{250.0, 0, 100.0}};
     const CappingPlan plan = ComputeCappingPlan(servers, 30.0);
     ASSERT_EQ(plan.assignments.size(), 1u);
     EXPECT_DOUBLE_EQ(plan.assignments[0].cap, 220.0);
@@ -91,22 +91,22 @@ TEST(ComputeCappingPlan, LowestPriorityGroupCappedFirst)
     // Fig. 15: web (group 1) and feed (group 1) get capped while cache
     // (group 2) is untouched — here group 0 vs group 1.
     const std::vector<ServerPowerInfo> servers = {
-        {"low1", 250.0, 0, 120.0},
-        {"low2", 240.0, 0, 120.0},
-        {"high", 260.0, 1, 120.0},
+        {250.0, 0, 120.0},
+        {240.0, 0, 120.0},
+        {260.0, 1, 120.0},  // the higher priority group
     };
     const CappingPlan plan = ComputeCappingPlan(servers, 60.0);
     EXPECT_TRUE(plan.satisfied);
     for (const auto& a : plan.assignments) {
-        EXPECT_NE(a.name, "high") << "higher priority group was capped";
+        EXPECT_NE(a.index, 2u) << "higher priority group was capped";
     }
 }
 
 TEST(ComputeCappingPlan, SpillsToNextGroupWhenExhausted)
 {
     const std::vector<ServerPowerInfo> servers = {
-        {"low", 200.0, 0, 180.0},   // only 20 W available
-        {"high", 250.0, 1, 150.0},  // must absorb the rest
+        {200.0, 0, 180.0},  // low: only 20 W available
+        {250.0, 1, 150.0},  // high: must absorb the rest
     };
     const CappingPlan plan = ComputeCappingPlan(servers, 60.0);
     EXPECT_TRUE(plan.satisfied);
@@ -114,7 +114,7 @@ TEST(ComputeCappingPlan, SpillsToNextGroupWhenExhausted)
     double low_cut = 0.0;
     double high_cut = 0.0;
     for (const auto& a : plan.assignments) {
-        (a.name == "low" ? low_cut : high_cut) = a.cut;
+        (a.index == 0 ? low_cut : high_cut) = a.cut;
     }
     EXPECT_NEAR(low_cut, 20.0, 1e-6);
     EXPECT_NEAR(high_cut, 40.0, 1e-6);
@@ -123,14 +123,14 @@ TEST(ComputeCappingPlan, SpillsToNextGroupWhenExhausted)
 TEST(ComputeCappingPlan, UnsatisfiableReportsAndCapsToFloors)
 {
     const std::vector<ServerPowerInfo> servers = {
-        {"a", 200.0, 0, 190.0},
-        {"b", 210.0, 0, 200.0},
+        {200.0, 0, 190.0},
+        {210.0, 0, 200.0},
     };
     const CappingPlan plan = ComputeCappingPlan(servers, 500.0);
     EXPECT_FALSE(plan.satisfied);
     EXPECT_NEAR(plan.planned_cut, 20.0, 1e-6);
     for (const auto& a : plan.assignments) {
-        const auto& s = a.name == "a" ? servers[0] : servers[1];
+        const auto& s = servers[a.index];
         EXPECT_NEAR(a.cap, s.sla_min_cap, 1e-6);
     }
 }
@@ -143,8 +143,8 @@ TEST(ComputeCappingPlan, Fig16FloorBehaviour)
     std::vector<ServerPowerInfo> servers;
     Rng rng(4);
     for (int i = 0; i < 200; ++i) {
-        servers.push_back(ServerPowerInfo{
-            "w" + std::to_string(i), 180.0 + 130.0 * rng.Uniform(), 0, 150.0});
+        servers.push_back(
+            ServerPowerInfo{180.0 + 130.0 * rng.Uniform(), 0, 150.0});
     }
     // Pick a cut that forces expansion well below the top bucket.
     const CappingPlan plan = ComputeCappingPlan(servers, 3000.0, 20.0);
@@ -156,10 +156,10 @@ TEST(ComputeCappingPlan, Fig16FloorBehaviour)
     for (std::size_t i = 0; i < servers.size(); ++i) {
         bool assigned = false;
         for (const auto& a : plan.assignments) {
-            if (a.name == servers[i].name) assigned = true;
+            if (a.index == i) assigned = true;
         }
         if (servers[i].power > floor + 20.0 + 1e-6) {
-            EXPECT_TRUE(assigned) << servers[i].name << " power "
+            EXPECT_TRUE(assigned) << "server " << i << " power "
                                   << servers[i].power << " floor " << floor;
         }
         if (servers[i].power < floor - 1e-6) {
@@ -187,7 +187,6 @@ TEST_P(CappingPlanPropertyTest, InvariantsHold)
     const int n = 5 + static_cast<int>(rng.UniformInt(60));
     for (int i = 0; i < n; ++i) {
         ServerPowerInfo s;
-        s.name = "s" + std::to_string(i);
         s.power = 120.0 + 230.0 * rng.Uniform();
         s.priority_group = static_cast<int>(rng.UniformInt(3));
         s.sla_min_cap = 100.0 + 60.0 * rng.Uniform();
@@ -208,11 +207,8 @@ TEST_P(CappingPlanPropertyTest, InvariantsHold)
         EXPECT_NEAR(plan.planned_cut, cut, 1e-3);
     }
     for (const auto& a : plan.assignments) {
-        const ServerPowerInfo* info = nullptr;
-        for (const auto& s : servers) {
-            if (s.name == a.name) info = &s;
-        }
-        ASSERT_NE(info, nullptr);
+        ASSERT_LT(a.index, servers.size());
+        const ServerPowerInfo* info = &servers[a.index];
         EXPECT_GE(a.cap, info->sla_min_cap - 1e-6) << "SLA floor violated";
         EXPECT_LE(a.cap, info->power + 1e-6) << "cap above current power";
         EXPECT_GT(a.cut, 0.0);
@@ -230,31 +226,31 @@ TEST(ComputeOffenderPlan, OffenderTakesWholeCut)
     // 130 KW (quota 150), parent limit 300 KW -> 20 KW cut goes to C1,
     // whose contractual limit becomes 170 KW.
     const std::vector<ChildPowerInfo> children = {
-        {"C1", 190e3, 150e3, 50e3},
-        {"C2", 130e3, 150e3, 50e3},
+        {190e3, 150e3, 50e3},
+        {130e3, 150e3, 50e3},
     };
     const OffenderPlan plan = ComputeOffenderPlan(children, 20e3);
     EXPECT_TRUE(plan.satisfied);
     ASSERT_EQ(plan.limits.size(), 1u);
-    EXPECT_EQ(plan.limits[0].name, "C1");
+    EXPECT_EQ(plan.limits[0].index, 0u);  // C1
     EXPECT_NEAR(plan.limits[0].contractual_limit, 170e3, 1.0);
 }
 
 TEST(ComputeOffenderPlan, MultipleOffendersShareHighBucketFirst)
 {
     const std::vector<ChildPowerInfo> children = {
-        {"A", 200e3, 150e3, 0.0},
-        {"B", 180e3, 150e3, 0.0},
-        {"C", 120e3, 150e3, 0.0},
+        {200e3, 150e3, 0.0},
+        {180e3, 150e3, 0.0},
+        {120e3, 150e3, 0.0},
     };
     const OffenderPlan plan = ComputeOffenderPlan(children, 30e3, 2000.0);
     EXPECT_TRUE(plan.satisfied);
     double cut_a = 0.0;
     double cut_b = 0.0;
     for (const auto& l : plan.limits) {
-        EXPECT_NE(l.name, "C") << "non-offender was cut";
-        if (l.name == "A") cut_a = l.cut;
-        if (l.name == "B") cut_b = l.cut;
+        EXPECT_NE(l.index, 2u) << "non-offender was cut";
+        if (l.index == 0) cut_a = l.cut;
+        if (l.index == 1) cut_b = l.cut;
     }
     EXPECT_GT(cut_a, cut_b);  // the bigger offender absorbs more
     EXPECT_NEAR(cut_a + cut_b, 30e3, 1.0);
@@ -263,8 +259,8 @@ TEST(ComputeOffenderPlan, MultipleOffendersShareHighBucketFirst)
 TEST(ComputeOffenderPlan, OffendersNotPushedBelowQuotaInStageOne)
 {
     const std::vector<ChildPowerInfo> children = {
-        {"A", 160e3, 150e3, 100e3},
-        {"B", 140e3, 150e3, 100e3},
+        {160e3, 150e3, 100e3},
+        {140e3, 150e3, 100e3},
     };
     // Cut of 8 KW fits inside A's 10 KW excess.
     const OffenderPlan plan = ComputeOffenderPlan(children, 8e3);
@@ -275,8 +271,8 @@ TEST(ComputeOffenderPlan, OffendersNotPushedBelowQuotaInStageOne)
 TEST(ComputeOffenderPlan, SpillsBeyondOffendersWhenExcessInsufficient)
 {
     const std::vector<ChildPowerInfo> children = {
-        {"A", 160e3, 150e3, 100e3},
-        {"B", 140e3, 150e3, 100e3},
+        {160e3, 150e3, 100e3},
+        {140e3, 150e3, 100e3},
     };
     // 30 KW cut: A's excess is only 10 KW; the rest must spread.
     const OffenderPlan plan = ComputeOffenderPlan(children, 30e3);
@@ -288,8 +284,8 @@ TEST(ComputeOffenderPlan, SpillsBeyondOffendersWhenExcessInsufficient)
 TEST(ComputeOffenderPlan, NoOffendersSpreadsAcrossAll)
 {
     const std::vector<ChildPowerInfo> children = {
-        {"A", 140e3, 150e3, 100e3},
-        {"B", 130e3, 150e3, 100e3},
+        {140e3, 150e3, 100e3},
+        {130e3, 150e3, 100e3},
     };
     const OffenderPlan plan = ComputeOffenderPlan(children, 20e3);
     EXPECT_TRUE(plan.satisfied);
@@ -299,23 +295,23 @@ TEST(ComputeOffenderPlan, NoOffendersSpreadsAcrossAll)
 TEST(ComputeOffenderPlan, RespectsChildFloors)
 {
     const std::vector<ChildPowerInfo> children = {
-        {"A", 140e3, 100e3, 135e3},
-        {"B", 130e3, 100e3, 125e3},
+        {140e3, 100e3, 135e3},
+        {130e3, 100e3, 125e3},
     };
     const OffenderPlan plan = ComputeOffenderPlan(children, 500e3);
     EXPECT_FALSE(plan.satisfied);
     for (const auto& l : plan.limits) {
-        const auto& c = l.name == "A" ? children[0] : children[1];
+        const auto& c = children[l.index];
         EXPECT_GE(l.contractual_limit, c.floor - 1e-3);
     }
 }
 
 TEST(ComputeOffenderPlan, ZeroCutIsNoop)
 {
-    const OffenderPlan plan = ComputeOffenderPlan({{"A", 100.0, 90.0, 0.0}}, 0.0);
+    const OffenderPlan plan = ComputeOffenderPlan({{100.0, 90.0, 0.0}}, 0.0);
     EXPECT_TRUE(plan.satisfied);
     EXPECT_TRUE(plan.limits.empty());
 }
 
 }  // namespace
-}  // namespace dynamo::core
+}  // namespace dynamo::policy

@@ -222,6 +222,33 @@ TEST(SpecParser, CappingPolicySetsBothLevels)
               policy::PolicyKind::kThreeBand);
 }
 
+// `allocation_policy` survives only as a fixed line of the canonical
+// format (every recorded journal embeds it); the removed values name
+// the keys that replace them.
+TEST(SpecParser, HighBucketFirstIsTheOnlyAllocationValue)
+{
+    EXPECT_NO_THROW(
+        ParseFleetSpecString("allocation_policy = high-bucket-first\n"));
+    EXPECT_NE(SerializeFleetSpec(FleetSpec{}).find(
+                  "allocation_policy = high-bucket-first\n"),
+              std::string::npos);
+
+    const auto message_of = [](const std::string& text) -> std::string {
+        try {
+            ParseFleetSpecString(text);
+        } catch (const std::runtime_error& e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_NE(message_of("allocation_policy = proportional\n")
+                  .find("capping_policy = fairshare"),
+              std::string::npos);
+    EXPECT_NE(
+        message_of("allocation_policy = water-fill\n").find("bucket_w = 0"),
+        std::string::npos);
+}
+
 TEST(SpecParser, RpcTimeoutMustBeBelowResponseWait)
 {
     EXPECT_THROW(

@@ -1,6 +1,6 @@
 // Policy-lab brain tests: every brain's allocation-free planner is
 // pinned *bit-identical* to its by-value reference oracle
-// (policy/policy_reference.h) — exact EXPECT_EQ on doubles, shared
+// (policy/reference.h) — exact EXPECT_EQ on doubles, shared
 // workspace across iterations, same discipline as the arena
 // equivalence tests. Plus the name registry / factory round-trip and
 // the three_band brain's delegation to the arena planner.
@@ -14,20 +14,19 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "policy/policy_reference.h"
+#include "policy/reference.h"
 #include "policy/predictive_planner.h"
 
 namespace dynamo::policy {
 namespace {
 
-std::vector<core::ServerPowerInfo>
+std::vector<ServerPowerInfo>
 RandomServers(Rng& rng, std::size_t n, int groups)
 {
-    std::vector<core::ServerPowerInfo> servers;
+    std::vector<ServerPowerInfo> servers;
     servers.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        core::ServerPowerInfo info;
-        info.name = "srv" + std::to_string(i);
+        ServerPowerInfo info;
         info.power = rng.Uniform(80.0, 450.0);
         info.priority_group = static_cast<int>(rng.UniformInt(
             static_cast<std::uint64_t>(groups)));
@@ -37,14 +36,13 @@ RandomServers(Rng& rng, std::size_t n, int groups)
     return servers;
 }
 
-std::vector<core::ChildPowerInfo>
+std::vector<ChildPowerInfo>
 RandomChildren(Rng& rng, std::size_t n)
 {
-    std::vector<core::ChildPowerInfo> children;
+    std::vector<ChildPowerInfo> children;
     children.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        core::ChildPowerInfo info;
-        info.name = "child" + std::to_string(i);
+        ChildPowerInfo info;
         info.quota = rng.Uniform(50'000.0, 200'000.0);
         info.power = info.quota * rng.Uniform(0.7, 1.4);
         info.floor = info.quota * rng.Uniform(0.3, 0.7);
@@ -54,7 +52,7 @@ RandomChildren(Rng& rng, std::size_t n)
 }
 
 void
-ExpectSamePlan(const core::CappingPlan& got, const core::CappingPlan& want)
+ExpectSamePlan(const CappingPlan& got, const CappingPlan& want)
 {
     EXPECT_EQ(got.satisfied, want.satisfied);
     EXPECT_EQ(got.planned_cut, want.planned_cut);
@@ -67,7 +65,7 @@ ExpectSamePlan(const core::CappingPlan& got, const core::CappingPlan& want)
 }
 
 void
-ExpectSamePlan(const core::OffenderPlan& got, const core::OffenderPlan& want)
+ExpectSamePlan(const OffenderPlan& got, const OffenderPlan& want)
 {
     EXPECT_EQ(got.satisfied, want.satisfied);
     EXPECT_EQ(got.planned_cut, want.planned_cut);
@@ -132,10 +130,10 @@ TEST(PolicyRegistry, FactoryProducesTheRequestedBrain)
 TEST(ThreeBandPlanner, MatchesArenaPlannerExactly)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kThreeBand);
-    core::CappingWorkspace ws;
-    core::CappingWorkspace arena_ws;
-    core::CappingPlan plan;
-    core::CappingPlan want;
+    CappingWorkspace ws;
+    CappingWorkspace arena_ws;
+    CappingPlan plan;
+    CappingPlan want;
     Rng rng(0x3b);
     for (int round = 0; round < 20; ++round) {
         const std::size_t n = 1 + rng.UniformInt(50);
@@ -146,8 +144,7 @@ TEST(ThreeBandPlanner, MatchesArenaPlannerExactly)
 
         PolicyContext ctx = ServerContext();
         brain->PlanServerCuts(servers, cut, ctx, ws, &plan);
-        core::ComputeCappingPlan(servers, cut, ctx.bucket_size,
-                                 ctx.allocation_policy, arena_ws, &want);
+        ComputeCappingPlan(servers, cut, ctx.bucket_size, arena_ws, &want);
         ExpectSamePlan(plan, want);
     }
 }
@@ -155,10 +152,10 @@ TEST(ThreeBandPlanner, MatchesArenaPlannerExactly)
 TEST(ThreeBandPlanner, ChildPlanMatchesOffenderPlannerExactly)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kThreeBand);
-    core::CappingWorkspace ws;
-    core::CappingWorkspace arena_ws;
-    core::OffenderPlan plan;
-    core::OffenderPlan want;
+    CappingWorkspace ws;
+    CappingWorkspace arena_ws;
+    OffenderPlan plan;
+    OffenderPlan want;
     Rng rng(0x3c);
     for (int round = 0; round < 20; ++round) {
         const std::size_t n = 1 + rng.UniformInt(20);
@@ -169,8 +166,7 @@ TEST(ThreeBandPlanner, ChildPlanMatchesOffenderPlannerExactly)
 
         PolicyContext ctx = ChildContext();
         brain->PlanChildLimits(children, cut, ctx, ws, &plan);
-        core::ComputeOffenderPlan(children, cut, ctx.bucket_size, arena_ws,
-                                  &want);
+        ComputeOffenderPlan(children, cut, ctx.bucket_size, arena_ws, &want);
         ExpectSamePlan(plan, want);
     }
 }
@@ -180,8 +176,8 @@ TEST(ThreeBandPlanner, ChildPlanMatchesOffenderPlannerExactly)
 TEST(WaterfillPlanner, ServerPlanMatchesOracleExactly)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kWaterfill);
-    core::CappingWorkspace ws;  // shared: allocation-free reuse must not leak
-    core::CappingPlan plan;
+    CappingWorkspace ws;  // shared: allocation-free reuse must not leak
+    CappingPlan plan;
     Rng rng(0xf111);
     for (int round = 0; round < 40; ++round) {
         const std::size_t n = 1 + rng.UniformInt(60);
@@ -192,8 +188,7 @@ TEST(WaterfillPlanner, ServerPlanMatchesOracleExactly)
         // From trivial to unsatisfiable (forces the saturation branch).
         const Watts cut = total * rng.Uniform(0.01, 0.95);
 
-        const core::CappingPlan want =
-            reference::WaterfillServerPlan(servers, cut);
+        const CappingPlan want = reference::WaterfillServerPlan(servers, cut);
         brain->PlanServerCuts(servers, cut, ServerContext(), ws, &plan);
         ExpectSamePlan(plan, want);
     }
@@ -202,8 +197,8 @@ TEST(WaterfillPlanner, ServerPlanMatchesOracleExactly)
 TEST(WaterfillPlanner, ChildPlanMatchesOracleExactly)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kWaterfill);
-    core::CappingWorkspace ws;
-    core::OffenderPlan plan;
+    CappingWorkspace ws;
+    OffenderPlan plan;
     Rng rng(0xf112);
     for (int round = 0; round < 40; ++round) {
         const std::size_t n = 1 + rng.UniformInt(24);
@@ -212,8 +207,7 @@ TEST(WaterfillPlanner, ChildPlanMatchesOracleExactly)
         for (const auto& c : children) total += c.power;
         const Watts cut = total * rng.Uniform(0.01, 0.7);
 
-        const core::OffenderPlan want =
-            reference::WaterfillChildPlan(children, cut);
+        const OffenderPlan want = reference::WaterfillChildPlan(children, cut);
         brain->PlanChildLimits(children, cut, ChildContext(), ws, &plan);
         ExpectSamePlan(plan, want);
     }
@@ -222,8 +216,8 @@ TEST(WaterfillPlanner, ChildPlanMatchesOracleExactly)
 TEST(WaterfillPlanner, RespectsSlaFloorsAndCoversCutWhenFeasible)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kWaterfill);
-    core::CappingWorkspace ws;
-    core::CappingPlan plan;
+    CappingWorkspace ws;
+    CappingPlan plan;
     Rng rng(0xf113);
     for (int round = 0; round < 20; ++round) {
         const auto servers = RandomServers(rng, 30, 3);
@@ -247,8 +241,8 @@ TEST(WaterfillPlanner, RespectsSlaFloorsAndCoversCutWhenFeasible)
 TEST(FairSharePlanner, ServerPlanMatchesOracleExactly)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kFairShare);
-    core::CappingWorkspace ws;
-    core::CappingPlan plan;
+    CappingWorkspace ws;
+    CappingPlan plan;
     Rng rng(0xfa1);
     for (int round = 0; round < 40; ++round) {
         const std::size_t n = 1 + rng.UniformInt(60);
@@ -258,8 +252,7 @@ TEST(FairSharePlanner, ServerPlanMatchesOracleExactly)
         for (const auto& s : servers) total += s.power;
         const Watts cut = total * rng.Uniform(0.01, 0.95);
 
-        const core::CappingPlan want =
-            reference::FairShareServerPlan(servers, cut);
+        const CappingPlan want = reference::FairShareServerPlan(servers, cut);
         brain->PlanServerCuts(servers, cut, ServerContext(), ws, &plan);
         ExpectSamePlan(plan, want);
     }
@@ -268,8 +261,8 @@ TEST(FairSharePlanner, ServerPlanMatchesOracleExactly)
 TEST(FairSharePlanner, ChildPlanMatchesOracleExactly)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kFairShare);
-    core::CappingWorkspace ws;
-    core::OffenderPlan plan;
+    CappingWorkspace ws;
+    OffenderPlan plan;
     Rng rng(0xfa2);
     for (int round = 0; round < 40; ++round) {
         const std::size_t n = 1 + rng.UniformInt(24);
@@ -278,8 +271,7 @@ TEST(FairSharePlanner, ChildPlanMatchesOracleExactly)
         for (const auto& c : children) total += c.power;
         const Watts cut = total * rng.Uniform(0.01, 0.7);
 
-        const core::OffenderPlan want =
-            reference::FairShareChildPlan(children, cut);
+        const OffenderPlan want = reference::FairShareChildPlan(children, cut);
         brain->PlanChildLimits(children, cut, ChildContext(), ws, &plan);
         ExpectSamePlan(plan, want);
     }
@@ -288,8 +280,8 @@ TEST(FairSharePlanner, ChildPlanMatchesOracleExactly)
 TEST(FairSharePlanner, NeverContractsChildBelowFloor)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kFairShare);
-    core::CappingWorkspace ws;
-    core::OffenderPlan plan;
+    CappingWorkspace ws;
+    OffenderPlan plan;
     Rng rng(0xfa3);
     for (int round = 0; round < 20; ++round) {
         const auto children = RandomChildren(rng, 12);
@@ -310,10 +302,10 @@ TEST(PredictivePlanner, PlanEqualsArenaPlanOfOracleWidenedCut)
 {
     PredictivePlanner brain;
     reference::HoltForecast oracle;
-    core::CappingWorkspace ws;
-    core::CappingWorkspace arena_ws;
-    core::CappingPlan plan;
-    core::CappingPlan want;
+    CappingWorkspace ws;
+    CappingWorkspace arena_ws;
+    CappingPlan plan;
+    CappingPlan want;
     Rng rng(0x9d);
 
     auto servers = RandomServers(rng, 24, 3);
@@ -339,8 +331,8 @@ TEST(PredictivePlanner, PlanEqualsArenaPlanOfOracleWidenedCut)
 
         const Watts widened = oracle.WidenedCut(powers, cut);
         EXPECT_GE(widened, cut);  // never cuts less than reactive
-        core::ComputeCappingPlan(servers, widened, ctx.bucket_size,
-                                 ctx.allocation_policy, arena_ws, &want);
+        ComputeCappingPlan(servers, widened, ctx.bucket_size, arena_ws,
+                           &want);
         ExpectSamePlan(plan, want);
     }
 }
@@ -349,10 +341,10 @@ TEST(PredictivePlanner, ForecastResetsOnRosterSizeChange)
 {
     PredictivePlanner brain;
     reference::HoltForecast oracle;
-    core::CappingWorkspace ws;
-    core::CappingWorkspace arena_ws;
-    core::CappingPlan plan;
-    core::CappingPlan want;
+    CappingWorkspace ws;
+    CappingWorkspace arena_ws;
+    CappingPlan plan;
+    CappingPlan want;
     Rng rng(0x9e);
     PolicyContext ctx = ServerContext();
 
@@ -380,19 +372,18 @@ TEST(PredictivePlanner, ForecastResetsOnRosterSizeChange)
     for (std::size_t i = 0; i < servers.size(); ++i) {
         powers[i] = servers[i].power;
     }
-    core::ComputeCappingPlan(servers, oracle.WidenedCut(powers, cut),
-                             ctx.bucket_size, ctx.allocation_policy, arena_ws,
-                             &want);
+    ComputeCappingPlan(servers, oracle.WidenedCut(powers, cut),
+                       ctx.bucket_size, arena_ws, &want);
     ExpectSamePlan(plan, want);
 }
 
 TEST(PredictivePlanner, ResetDropsForecastState)
 {
     PredictivePlanner brain;
-    core::CappingWorkspace ws;
-    core::CappingWorkspace arena_ws;
-    core::CappingPlan plan;
-    core::CappingPlan want;
+    CappingWorkspace ws;
+    CappingWorkspace arena_ws;
+    CappingPlan plan;
+    CappingPlan want;
     Rng rng(0x9f);
     PolicyContext ctx = ServerContext();
 
@@ -408,8 +399,7 @@ TEST(PredictivePlanner, ResetDropsForecastState)
     for (const auto& s : servers) total += s.power;
     const Watts cut = total * 0.25;
     brain.PlanServerCuts(servers, cut, ctx, ws, &plan);
-    core::ComputeCappingPlan(servers, cut, ctx.bucket_size,
-                             ctx.allocation_policy, arena_ws, &want);
+    ComputeCappingPlan(servers, cut, ctx.bucket_size, arena_ws, &want);
     ExpectSamePlan(plan, want);
 }
 

@@ -64,6 +64,9 @@ std::string ExpectedSource(const std::string& server,
     return server + "/" + endpoint + "#" + std::to_string(index);
 }
 
+const std::vector<std::string> kEndpoints = {"agent:e0", "agent:e1",
+                                             "agent:e2", "agent:e3"};
+
 /**
  * A raw-socket peer speaking the wire protocol, for failure shapes a
  * SocketTransport server cannot be made to produce: it answers only
@@ -253,6 +256,28 @@ class SocketTransportTest : public ::testing::Test
         return true;
     }
 
+    /** The scripted peer answered the even calls below 80 and the
+     *  connection then closed: those succeed, every other call fails
+     *  once with "connection failed". */
+    void ExpectAnsweredOkRestFailed(std::size_t calls)
+    {
+        for (std::size_t i = 0; i < calls; ++i) {
+            if (i < 80 && i % 2 == 0) {
+                EXPECT_EQ(outcomes_[i].ok, 1) << "call " << i;
+                EXPECT_EQ(outcomes_[i].source,
+                          ExpectedSource("peer", kEndpoints[i % 4], i));
+            } else {
+                EXPECT_EQ(outcomes_[i].err, 1) << "call " << i;
+                EXPECT_EQ(outcomes_[i].reason, "connection failed")
+                    << "call " << i;
+            }
+        }
+        EXPECT_EQ(client_.calls_succeeded(), 40u);
+        EXPECT_EQ(client_.calls_errored(), calls - 40);
+        EXPECT_EQ(client_.calls_timed_out(), 0u);
+        ExpectExactlyOnceAndBalanced();
+    }
+
     /** Calls ended exactly once each, and every rpc.* count adds up. */
     void ExpectExactlyOnceAndBalanced()
     {
@@ -285,9 +310,6 @@ class SocketTransportTest : public ::testing::Test
     std::unique_ptr<ScriptedPeer> peer_;
     std::vector<Outcome> outcomes_;
 };
-
-const std::vector<std::string> kEndpoints = {"agent:e0", "agent:e1",
-                                             "agent:e2", "agent:e3"};
 
 TEST_F(SocketTransportTest, BurstOfCallsEachReplyReachesItsOwnCallbackOnce)
 {
@@ -382,21 +404,29 @@ TEST_F(SocketTransportTest, ConnectionClosedMidFanOutFailsEachPendingCallOnce)
 
     peer_->CloseConnection();
     ASSERT_TRUE(PumpUntil([&] { return AllFinished(); }));
+    ExpectAnsweredOkRestFailed(kCalls);
+}
 
-    for (std::size_t i = 0; i < kCalls; ++i) {
-        if (i < 80 && i % 2 == 0) {
-            EXPECT_EQ(outcomes_[i].ok, 1) << "call " << i;
-            EXPECT_EQ(outcomes_[i].source,
-                      ExpectedSource("peer", kEndpoints[i % 4], i));
-        } else {
-            EXPECT_EQ(outcomes_[i].err, 1) << "call " << i;
-            EXPECT_EQ(outcomes_[i].reason, "connection failed")
-                << "call " << i;
-        }
+TEST_F(SocketTransportTest, RepliesWrittenJustBeforeCloseStillComplete)
+{
+    // The peer answers 40 of 100 requests and closes at once, so the
+    // client reads those replies and the end of the stream in one pass.
+    peer_ = std::make_unique<ScriptedPeer>(
+        dir_ + "/peer.sock", [](std::size_t i) { return i < 80 && i % 2 == 0; });
+    for (const std::string& name : kEndpoints) {
+        client_.AddRoute(name, Addr("peer"));
     }
-    EXPECT_EQ(client_.calls_errored(), kCalls - 40);
-    EXPECT_EQ(client_.calls_timed_out(), 0u);
-    ExpectExactlyOnceAndBalanced();
+
+    constexpr std::size_t kCalls = 100;
+    for (std::size_t i = 0; i < kCalls; ++i) Issue(kEndpoints[i % 4]);
+    // The client flushes all requests in one write and the peer answers
+    // in the pump that reads them, so no reply has been read yet.
+    ASSERT_TRUE(PumpUntil([&] { return peer_->requests() == kCalls; }));
+    peer_->CloseConnection();
+    EXPECT_EQ(client_.calls_succeeded(), 0u);
+
+    ASSERT_TRUE(PumpUntil([&] { return AllFinished(); }, /*client_only=*/true));
+    ExpectAnsweredOkRestFailed(kCalls);
 }
 
 TEST_F(SocketTransportTest, RemoveRouteAndAddRouteRedirectTheNextCall)

@@ -15,6 +15,7 @@
 #include "core/deployment.h"
 #include "core/leaf_controller.h"
 #include "core/upper_controller.h"
+#include "policy/reference.h"
 #include "power/device.h"
 #include "rpc/transport.h"
 #include "server/sim_server.h"
@@ -259,6 +260,70 @@ TEST(DecisionTraces, LeafDecisionsLinkBackToUpperContractSpan)
             EXPECT_GE(alloc.bucket, 0);
         }
     }
+}
+
+TEST(DecisionTraces, ZeroBucketLeafWaterFillsAndRecordsNoBucket)
+{
+    // bucket_w = 0 is the pure water-fill split. Fixed readings from
+    // scripted agents make every cycle's roster known, so each cap span
+    // can be checked against the water-fill oracle bit for bit; its
+    // bucket index is "n/a" rather than power / 0.
+    sim::Simulation sim;
+    rpc::SimTransport transport(sim, 7);
+    power::PowerDevice rpp("rpp0", power::DeviceLevel::kRpp, 2000.0, 2000.0);
+    core::LeafController::Config config;
+    config.bucket_size = 0.0;
+    TraceLog traces;
+    core::ControllerBuilder builder(sim, transport);
+    builder.Endpoint("ctl:rpp0").ForDevice(rpp).LeafConfig(config).Telemetry(
+        nullptr, &traces);
+    std::vector<policy::ServerPowerInfo> roster;
+    for (int i = 0; i < 10; ++i) {
+        policy::ServerPowerInfo info;
+        info.power = 180.0 + 15.0 * i;  // 2475 W in all
+        info.priority_group = i % 3 == 0 ? 1 : 0;
+        info.sla_min_cap = 150.0;
+        roster.push_back(info);
+        const std::string endpoint = "agent:f" + std::to_string(i);
+        transport.Register(endpoint, [info](const rpc::Payload& request) {
+            if (std::any_cast<api::PowerReadRequest>(&request) != nullptr) {
+                api::PowerReadResult read;
+                read.power = info.power;
+                return rpc::Payload(read);
+            }
+            return rpc::Payload(api::CapResult{});
+        });
+        builder.Agent(core::AgentInfo{endpoint, workload::ServiceType::kWeb,
+                                      info.priority_group, info.sla_min_cap,
+                                      info.power});
+    }
+    auto leaf = builder.BuildLeaf();
+    leaf->Activate();
+    sim.RunFor(Seconds(30));
+    ASSERT_TRUE(leaf->capping());
+
+    std::size_t cap_spans = 0;
+    for (const TraceSpan& span : traces.spans()) {
+        if (span.kind != SpanKind::kLeafDecision ||
+            span.band != TraceBand::kCap) {
+            continue;
+        }
+        ++cap_spans;
+        const policy::CappingPlan want =
+            policy::reference::ComputeCappingPlan(roster, span.cut, 0.0);
+        EXPECT_EQ(span.planned_cut, want.planned_cut);
+        EXPECT_EQ(span.satisfied, want.satisfied);
+        ASSERT_EQ(span.allocs.size(), want.assignments.size());
+        for (std::size_t k = 0; k < want.assignments.size(); ++k) {
+            const policy::CapAssignment& a = want.assignments[k];
+            const TraceAllocation& alloc = span.allocs[k];
+            EXPECT_EQ(alloc.target, "agent:f" + std::to_string(a.index));
+            EXPECT_EQ(alloc.cut, a.cut);
+            EXPECT_EQ(alloc.limit_sent, a.cap);
+            EXPECT_EQ(alloc.bucket, -1);
+        }
+    }
+    EXPECT_GT(cap_spans, 3u);
 }
 
 TEST(DecisionTraces, ControllerMetricsCountDecisions)
