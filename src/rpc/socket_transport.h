@@ -132,14 +132,6 @@ class SocketTransport final : public Transport
               ErrorCallback on_err, SimTime timeout_ms = 1000) override;
     using Transport::Call;
 
-    /**
-     * Fire-and-forget batch, as SimTransport::CallBatch: responses are
-     * not awaited (frames carry call_id 0, which tells the peer to
-     * skip the response), no timeout is armed, and an unroutable item
-     * counts as an error at issue time.
-     */
-    std::size_t CallBatch(std::vector<BatchItem> batch) override;
-
     /** Update the epoch stamped into outgoing frames. */
     void set_epoch(std::uint64_t epoch) { options_.epoch = epoch; }
 
@@ -285,7 +277,6 @@ class SocketTransport final : public Transport
         Payload request;
         ResponseCallback on_ok;
         ErrorCallback on_err;
-        bool fire_and_forget = false;
     };
     std::deque<LocalCall> local_calls_;
 };

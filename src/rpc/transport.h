@@ -73,7 +73,7 @@ using FanOutOkCallback = std::function<void(std::size_t item, const Payload&)>;
 using FanOutErrCallback =
     std::function<void(std::size_t item, const std::string& reason)>;
 
-/** One element of a batched delivery (see Transport::CallBatch). */
+/** One element of a batched delivery (see SimTransport::CallBatch). */
 struct BatchItem
 {
     /** Target endpoint, interned in *this* transport. */
@@ -168,14 +168,6 @@ class Transport
                             const Payload& request, FanOutOkCallback on_ok,
                             FanOutErrCallback on_err,
                             SimTime timeout_ms = 1000);
-
-    /**
-     * Batched fire-and-forget delivery: issue every request in `batch`
-     * with responses discarded and no timeout armed. A failed or
-     * unserved item simply counts as an error at delivery time.
-     * Returns the number of items issued (== batch.size()).
-     */
-    virtual std::size_t CallBatch(std::vector<BatchItem> batch) = 0;
 
     /**
      * Wire transport counters (`rpc.calls`, `rpc.ok`, `rpc.failed`,
@@ -448,7 +440,7 @@ class SimTransport : public Transport
      *
      * Returns the number of items issued (== batch.size()).
      */
-    std::size_t CallBatch(std::vector<BatchItem> batch) override;
+    std::size_t CallBatch(std::vector<BatchItem> batch);
 
     /** Fault injection knobs. */
     FailureInjector& failures() { return failures_; }
